@@ -27,14 +27,22 @@ coordinates that the data identify (a grand intercept and sum-to-zero
 contrasts), where it is exact to rounding.  Step sizes adapt toward a
 20-40% acceptance rate during warmup and are frozen afterwards.  Chains
 are independent and each owns a private RNG seeded from seed + chain
-index.
+index, so fit runs them in forked worker processes, one chain per task
+and at most one worker per available CPU, and collects them in chain
+order: the draws are bit-identical to running the chains one after
+another in-process, which fit does when only one CPU is available or the
+platform cannot fork.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import os
+import platform
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,6 +60,11 @@ CATEGORY_NAMES = ("alpha", "beta", "gamma", "delta")
 
 class NonConvergenceWarning(UserWarning):
     """Fit finished but at least one parameter failed a convergence gate."""
+
+
+class _Refused(DataError):
+    """Scales location_system declines on purpose: outside the range it
+    computes exactly, not a numerical fault."""
 
 
 @dataclass(frozen=True)
@@ -292,8 +305,10 @@ class _Model:
         Returns a _LocationSystem with the factors, the conditional mean,
         and the collapsed log density log p(data | scales) + log p(scales)
         -- the location block integrated out in closed form, which the
-        scale updates sample against.  Raises DataError when the scales are
-        outside the floating-point range or M cannot be factorized.
+        scale updates sample against.  Raises _Refused (a DataError) for
+        scales outside the floating-point range or too ill-conditioned to
+        eliminate the unidentified directions exactly, and DataError when M
+        cannot be factorized or the density is not finite.
         """
         spec = self.spec
         st = self.stats
@@ -302,7 +317,7 @@ class _Model:
         # joules, and their squares and ratios would overflow.
         log_sd = np.asarray(log_sd, dtype=float)
         if not (abs(log_sigma) < 150.0 and np.all(np.abs(log_sd) < 150.0)):
-            raise DataError("scale parameters outside the floating-point range")
+            raise _Refused("scale parameters outside the floating-point range")
         sigma = math.exp(log_sigma)
         sigma2 = sigma * sigma
         sd2 = np.exp(2.0 * log_sd)
@@ -333,8 +348,8 @@ class _Model:
                 w_det = float(np.prod(np.diag(null_chol) ** 2
                                       / np.diag(null_prec)))
                 if not pinned <= 1e6 * self._identified_floor * w_det:
-                    raise DataError("the scales leave directions the data "
-                                    "cannot identify too ill-conditioned")
+                    raise _Refused("the scales leave directions the data "
+                                   "cannot identify too ill-conditioned")
                 reduced = np.linalg.solve(null_prec, coupling.T)
                 prec += self._null_proj - sigma2 * (coupling @ reduced)
                 rhs = rhs - reduced.T @ (null.T @ rhs)
@@ -485,6 +500,14 @@ SCALE_SWEEPS = 3  # scale sweeps per iteration, each ending in a mode swap
 
 
 def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator):
+    """One chain: (draws x params) samples, acceptance rates and its trace.
+
+    The trace holds the warmup and sampling seconds, the collapsed
+    evaluations (calls of location_system, 1 + iterations * 3 * (C + 2)),
+    and the rejected proposals split into those location_system refused on
+    purpose and those whose density was singular or not finite.
+    """
+    started = time.perf_counter()
     spec = model.spec
     ncat = len(model.cats)
     state = _State(
@@ -494,6 +517,7 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
         log_sigma=math.log(1.0 / spec.rate_sigma),
     )
     system = model.location_system(state.log_sd, state.log_sigma)
+    counts = {"evaluations": 1, "refused_states": 0, "nonfinite_states": 0}
 
     steps = {
         "log_sd": [_StepSize(0.5) for _ in range(ncat)],
@@ -501,23 +525,25 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
     }
 
     samples = np.empty((draws, _n_sampled_params(model)))
-    rejected_nonfinite = 0
     swap_pairs = [(i, j) for i in range(ncat) for j in range(i + 1, ncat)]
     swap_proposed = swap_accepted = 0
 
-    def metropolis(step: _StepSize | None, log_sd, log_sigma):
+    def metropolis(step: _StepSize | None, log_sd, log_sigma, adapting):
         """Collapsed scale update: accept against p(scales | data)."""
-        nonlocal system, rejected_nonfinite
+        nonlocal system
+        counts["evaluations"] += 1
         try:
             proposed = model.location_system(log_sd, log_sigma)
-            new_lp = proposed.collapsed
+        except _Refused:
+            proposed = None
+            counts["refused_states"] += 1
         except DataError:
-            proposed, new_lp = None, -math.inf
-        if not math.isfinite(new_lp):
-            rejected_nonfinite += 1
+            proposed = None
+            counts["nonfinite_states"] += 1
+        if proposed is None:
             a = 0.0
         else:
-            log_a = new_lp - system.collapsed
+            log_a = proposed.collapsed - system.collapsed
             a = 1.0 if log_a >= 0 else math.exp(log_a)
         accepted = a > 0 and rng.random() < a
         if accepted:
@@ -528,20 +554,19 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
             step.update(a, adapting)
         return accepted
 
-    for it in range(warmup + draws):
-        adapting = it < warmup
-
+    def iteration(adapting: bool):
+        nonlocal swap_proposed, swap_accepted
         for _ in range(SCALE_SWEEPS):
             for ci in range(ncat):
                 step = steps["log_sd"][ci]
                 proposal = state.log_sd.copy()
                 proposal[ci] += step.value * rng.standard_normal()
-                if metropolis(step, proposal, state.log_sigma):
+                if metropolis(step, proposal, state.log_sigma, adapting):
                     state.log_sd = proposal
 
             step = steps["log_sigma"]
             proposal = state.log_sigma + step.value * rng.standard_normal()
-            if metropolis(step, state.log_sd, proposal):
+            if metropolis(step, state.log_sd, proposal, adapting):
                 state.log_sigma = proposal
 
             # Mode-swap move: the collapsed target can be multimodal in which
@@ -555,22 +580,76 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
                 proposal = state.log_sd.copy()
                 proposal[list(pair)] = proposal[list(pair[::-1])]
                 swap_proposed += 1
-                if metropolis(None, proposal, state.log_sigma):
+                if metropolis(None, proposal, state.log_sigma, adapting):
                     state.log_sd = proposal
                     swap_accepted += 1
 
         # Location block: exact multivariate-normal Gibbs draw.
         model.draw_locations(state, system, rng)
 
-        if it >= warmup:
-            samples[it - warmup] = _flatten(model, state)
+    for _ in range(warmup):
+        iteration(adapting=True)
+    warmed_up = time.perf_counter()
+    for i in range(draws):
+        iteration(adapting=False)
+        samples[i] = _flatten(model, state)
 
     acc = {
         "log_sd": float(np.mean([s.rate() for s in steps["log_sd"]])),
         "log_sigma": steps["log_sigma"].rate(),
         "swap": swap_accepted / swap_proposed if swap_proposed else 1.0,
     }
-    return samples, acc, rejected_nonfinite
+    trace = {"warmup_s": warmed_up - started,
+             "sampling_s": time.perf_counter() - warmed_up, **counts}
+    return samples, acc, trace
+
+
+def _seeded_chain(model: _Model, warmup: int, draws: int, seed: int, c: int):
+    """Chain c of a fit, on its own stream seed + c."""
+    return _run_chain(model, warmup, draws, np.random.default_rng(seed + c))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# The running fit's chain task inside a pool worker, set by _install_task.
+_worker_task = None
+
+
+def _install_task(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _call_task(c: int):
+    return _worker_task(c)
+
+
+def _map_chains(task, chains: int) -> tuple[list, int]:
+    """[task(c) for c in range(chains)] and the number of processes used.
+
+    Chains run in forked worker processes, at most one per available CPU.
+    Under fork the task, model included, reaches the workers by
+    inheritance rather than pickling.  Results come back in chain order and
+    a worker's exception is re-raised here with its type and message.  With
+    one CPU, or no fork, the chains run in this process.
+    """
+    # Imported here, not at module level: the CLI's start-up never needs it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(chains, _available_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [task(c) for c in range(chains)], 1
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_install_task,
+                             initargs=(task,)) as pool:
+        return list(pool.map(_call_task, range(chains))), workers
 
 
 def _n_sampled_params(model: _Model) -> int:
@@ -740,6 +819,12 @@ def fit(
     ``data`` maps pattern keys (PatternKey or 4-tuples) to observation
     arrays.  Attaches a NonConvergenceWarning (without failing) when any
     parameter misses the R-hat/ESS gates.
+
+    ``meta`` records the run: its configuration, per-chain acceptance and
+    trace (seconds, collapsed evaluations, refused and non-finite
+    proposals), their totals, the worker processes and wall seconds of the
+    chains (the sum of the chains' seconds over it is the parallel
+    speed-up), and the software and platform that ran it.
     """
     if chains < 2:
         raise DataError("at least 2 chains are required for split diagnostics")
@@ -748,16 +833,12 @@ def fit(
     stats = _SuffStats(data, spec)
     model = _Model(spec, stats)
 
-    all_samples = []
-    acc_stats = []
-    nonfinite = 0
-    for c in range(chains):
-        rng = np.random.default_rng(seed + c)
-        samples, acc, bad = _run_chain(model, warmup, draws, rng)
-        all_samples.append(samples)
-        acc_stats.append(acc)
-        nonfinite += bad
-    draw_array = np.stack(all_samples)  # (chains, draws, P)
+    started = time.perf_counter()
+    results, workers = _map_chains(
+        functools.partial(_seeded_chain, model, warmup, draws, seed), chains)
+    chains_wall_s = time.perf_counter() - started
+    draw_array = np.stack([r[0] for r in results])  # (chains, draws, P)
+    traces = [r[2] for r in results]
 
     names = param_names(spec)
     summaries = summarize_draws(draw_array, names)
@@ -773,9 +854,14 @@ def fit(
         "warmup": warmup,
         "draws_per_chain": draws,
         "dataset_digest": stats.digest,
-        "acceptance": acc_stats,
-        "nonfinite_states": nonfinite,
+        "acceptance": [r[1] for r in results],
+        "refused_states": sum(t["refused_states"] for t in traces),
+        "nonfinite_states": sum(t["nonfinite_states"] for t in traces),
         "device_effect_sampled": spec.device_effect_sampled,
+        "workers": workers,
+        "chains_wall_s": chains_wall_s,
+        "trace": traces,
+        "provenance": _provenance(),
     }
     posterior = PosteriorModel(
         levels={k: list(v) for k, v in spec.level_sets.items()},
@@ -794,6 +880,19 @@ def fit(
             stacklevel=2,
         )
     return posterior
+
+
+def _provenance() -> dict:
+    """Software and platform a fit ran on, to explain cross-machine drift."""
+    from . import __version__
+
+    return {
+        "package_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "longdouble_eps": float(np.finfo(np.longdouble).eps),
+    }
 
 
 def prior_predictive(spec: ModelSpec, n: int, seed: int = 0) -> np.ndarray:

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from bytecode_energy import cli, diagnostics
+from bytecode_energy import cli, diagnostics, inference
+from bytecode_energy.errors import DataError
 from bytecode_energy.ingest import CSV_HEADER
 
 TRUTH = {
@@ -158,6 +159,20 @@ def test_fit_missing_baseline_exits_1(workdir, capsys):
                    "--out", str(workdir / "nope.json")])
     assert rc == 1
     assert "baseline" in capsys.readouterr().err
+
+
+def test_fit_data_error_in_a_worker_exits_1(measurements, workdir,
+                                            monkeypatch, capsys):
+    def fail(self, log_sd, log_sigma):
+        raise DataError("location block unavailable")
+
+    monkeypatch.setattr(inference._Model, "location_system", fail)
+    monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
+    rc = cli.main(["fit", "--measurements", str(measurements),
+                   "--out", str(workdir / "nope.json"), "--chains", "2",
+                   "--warmup", "5", "--draws", "5"])
+    assert rc == 1
+    assert "location block unavailable" in capsys.readouterr().err
 
 
 def test_fit_non_converged_exits_2(measurements, workdir):

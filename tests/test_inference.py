@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from bytecode_energy import diagnostics
+from bytecode_energy import diagnostics, inference
 from bytecode_energy.errors import DataError, UnknownLevel
 from bytecode_energy.inference import (
     ModelSpec,
     NonConvergenceWarning,
     PosteriorModel,
     _Model,
+    _Refused,
+    _run_chain,
     _State,
     _SuffStats,
     fit,
@@ -231,6 +233,18 @@ def test_fit_meta_records_run_configuration(recovery_fit):
     assert meta["seed"] == 3
     assert meta["device_effect_sampled"] is True
     assert len(meta["dataset_digest"]) == 64
+    assert set(meta["provenance"]) == {"package_version", "python", "numpy",
+                                       "machine", "longdouble_eps"}
+    assert meta["provenance"]["numpy"] == np.__version__
+    assert 1 <= meta["workers"] <= 4
+    assert len(meta["trace"]) == 4
+    evaluations = 1 + (1000 + 1000) * inference.SCALE_SWEEPS * (4 + 2)
+    for trace in meta["trace"]:
+        assert trace["evaluations"] == evaluations
+        assert trace["warmup_s"] > 0 and trace["sampling_s"] > 0
+    for count in ("refused_states", "nonfinite_states"):
+        assert meta[count] == sum(t[count] for t in meta["trace"])
+    assert meta["chains_wall_s"] > 0
 
 
 def test_mu_draws_mean_matches_summary_sum(recovery_fit):
@@ -469,14 +483,84 @@ def test_location_draws_match_full_conditional(design):
 
 def test_location_system_refuses_states_it_cannot_compute_exactly():
     _, model = _bound_model(_crossed_design())
-    with pytest.raises(DataError):
+    with pytest.raises(_Refused):
         model.location_system(np.log([1e-3] * 4), -800.0)  # sigma^2 == 0
-    with pytest.raises(DataError):
+    with pytest.raises(_Refused):
         model.location_system(np.array([-800.0, 0.0, 0.0, 0.0]), -18.0)
     _, model = _bound_model(_confounded_design())
     sds, sigma = TINY_SDS
-    with pytest.raises(DataError):
+    with pytest.raises(_Refused):
         model.location_system(np.log(sds), math.log(sigma))
+
+
+# -- chains in worker processes ----------------------------------------------
+
+POOL_DESIGNS = {
+    "toy": lambda: TOY_DATA,
+    "two_devices": lambda: synthetic_crossed_dataset(
+        seed=6, n_sizes=2, n_ops=3, n_types=2, obs_per_key=8)[0],
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+@pytest.mark.parametrize("design", sorted(POOL_DESIGNS))
+def test_fit_draws_equal_serial_chains(design, cpus, monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(inference, "_available_cpus", lambda: cpus)
+    data = POOL_DESIGNS[design]()
+    chains, warmup, draws, seed = 3, 40, 30, 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        model = fit(data, chains=chains, warmup=warmup, draws=draws, seed=seed)
+    spec, bound = _bound_model(data)
+    serial = [_run_chain(bound, warmup, draws, np.random.default_rng(seed + c))
+              for c in range(chains)]
+    assert model.draws.tobytes() == np.stack([r[0] for r in serial]).tobytes()
+    assert model.meta["acceptance"] == [r[1] for r in serial]
+    for trace, (_, _, serial_trace) in zip(model.meta["trace"], serial):
+        for count in ("evaluations", "refused_states", "nonfinite_states"):
+            assert trace[count] == serial_trace[count]
+    ncat = len(bound.cats)
+    assert all(t["evaluations"] == 1 + (warmup + draws) * 3 * (ncat + 2)
+               for t in model.meta["trace"])
+    if cpus is not None:
+        assert model.meta["workers"] == min(chains, cpus)
+
+
+def test_worker_data_error_reaches_the_caller(monkeypatch):
+    def fail(self, log_sd, log_sigma):
+        raise DataError("location block unavailable")
+
+    monkeypatch.setattr(_Model, "location_system", fail)
+    monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
+    with pytest.raises(DataError, match="location block unavailable"):
+        fit(TOY_DATA, chains=2, warmup=5, draws=5, seed=0)
+
+
+def test_refused_proposals_are_not_counted_as_nonfinite(monkeypatch):
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            return fit(TOY_DATA, chains=3, warmup=30, draws=30, seed=5).meta
+
+    monkeypatch.setattr(inference, "_available_cpus", lambda: 3)
+    plain = run()
+    # Send every proposal of sigma above 1 mJ out of range, where
+    # location_system refuses it; the chains start at exactly 1 mJ.
+    location_system = _Model.location_system
+
+    def capped(self, log_sd, log_sigma):
+        if log_sigma > math.log(1e-3) + 1e-9:
+            log_sigma = 1000.0
+        return location_system(self, log_sd, log_sigma)
+
+    monkeypatch.setattr(_Model, "location_system", capped)
+    forced = run()
+    assert forced["refused_states"] > plain["refused_states"]
+    assert forced["nonfinite_states"] == plain["nonfinite_states"] == 0
+    for meta in (plain, forced):
+        for count in ("refused_states", "nonfinite_states"):
+            assert meta[count] == sum(t[count] for t in meta["trace"])
 
 
 def test_convergence_gate_is_the_diagnostics_gate():
