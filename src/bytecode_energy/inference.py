@@ -24,12 +24,17 @@ categories, or between a hyper-mean and its z vector) and a multimodal
 funnel in (category sd, z) space, and both disappear once the locations
 are marginalized.  The collapsed density is computed in float64 in
 coordinates that the data identify (a grand intercept and sum-to-zero
-contrasts), where it is exact to rounding.  Step sizes adapt toward a
-20-40% acceptance rate during warmup and are frozen afterwards.  Chains
-are independent and each owns a private RNG seeded from seed + chain
-index, so fit runs them in forked worker processes, one chain per task
-and at most one worker per available CPU, and collects them in chain
-order: the draws are bit-identical to running the chains one after
+contrasts), where it is exact to rounding.  The contrasts of the category
+with the most levels (the operations) are rotated, once per model, onto
+the eigenvectors of their Gram block (apart from the directions the data
+cannot identify); their prior is isotropic, so there the conditional
+precision is diagonal and is eliminated in closed form.  Only the rest is
+factored densely: 11 dimensions of 70 at paper size.  Step sizes adapt
+toward a 20-40% acceptance rate during warmup and are frozen afterwards.
+Chains are independent and each owns a private RNG seeded from seed +
+chain index, so fit runs them in forked worker processes, one chain per
+task and at most one worker per available CPU, and collects them in
+chain order: the draws are bit-identical to running the chains one after
 another in-process, which fit does when only one CPU is available or the
 platform cannot fork.
 """
@@ -223,26 +228,78 @@ class _Model:
         # t_c ~ N(0, sd_c^2 I); the rest of the block (the split of g over
         # categories and into hyper-mean and sd * mean(z)) is informed by
         # the prior alone and is integrated and drawn in closed form.
-        level_idx = [stats.ia, stats.ib, stats.ic, stats.id][:len(self.cats)]
-        self.bases = [_contrast_basis(n) for n in self.sizes]
-        self.design = np.hstack(
+        ncat = len(self.cats)
+        level_idx = [stats.ia, stats.ib, stats.ic, stats.id][:ncat]
+        bases = [_contrast_basis(n) for n in self.sizes]
+        design = np.hstack(
             [np.ones((len(stats.n), 1))]
-            + [q[idx] for q, idx in zip(self.bases, level_idx)])
-        self._gram = self.design.T @ (stats.n[:, None] * self.design)
-        self._moment = self.design.T @ stats.s1
+            + [q[idx] for q, idx in zip(bases, level_idx)])
+        gram = design.T @ (stats.n[:, None] * design)
         # Directions the design cannot identify (levels that always occur
         # together, such as the catalog's reference size and reference
         # type) are informed by the prior alone; location_system integrates
         # them out exactly, which keeps its factor well conditioned.
-        eigval, eigvec = np.linalg.eigh(self._gram)
+        eigval, eigvec = np.linalg.eigh(gram)
         identified = eigval > 1e-9 * eigval[-1]
-        self._null = eigvec[:, ~identified]
-        self._null_proj = self._null @ self._null.T
-        self._null_weight = np.square(self._null).sum(axis=1)
+        null = eigvec[:, ~identified]
         self._identified_floor = min(1.0, float(eigval[identified].min(
             initial=np.inf)))
-        self._contrast_cat = np.repeat(np.arange(len(self.cats)),
-                                       [n - 1 for n in self.sizes])
+        # Prior groups of the coordinates: 0 the intercept, 1 + ci the
+        # contrasts of category ci.  The refusal guard reads the largest
+        # null weight of each group in these coordinates.
+        group = np.repeat(np.arange(ncat + 1),
+                          [1] + [n - 1 for n in self.sizes])
+        self._group_dim = np.bincount(group, minlength=ncat + 1).tolist()
+        weight = np.square(null).sum(axis=1)
+        self._null_weight = np.array([weight[group == g].max(initial=0.0)
+                                      for g in range(ncat + 1)])
+
+        # The largest category's prior is isotropic on its contrasts, so
+        # any orthonormal basis of them keeps it.  Take first the span of
+        # the null space's component there, then the eigenvectors of the
+        # category's Gram block on the rest: there the precision is
+        # diagonal, and location_system eliminates those coordinates in
+        # closed form, factoring only the dense block (the intercept, the
+        # other categories' contrasts and the null-touching directions).
+        big = int(np.argmax(self.sizes))
+        rows = np.flatnonzero(group == big + 1)
+        left, singular, _ = np.linalg.svd(null[rows])
+        # N is orthonormal: singular values at rounding level span nothing.
+        n_touched = int(np.count_nonzero(singular > 1e-9))
+        rest = left[:, n_touched:]
+        _, rotation = np.linalg.eigh(rest.T @ gram[np.ix_(rows, rows)] @ rest)
+        others = np.flatnonzero(group != big + 1)
+        nd = len(others) + n_touched  # dimension of the dense block
+        # Columns: the factored coordinates in terms of (g, t).
+        coords = np.zeros((len(group), len(group)))
+        coords[others, np.arange(len(others))] = 1.0
+        coords[np.ix_(rows, np.arange(len(others), len(group)))] = np.hstack(
+            [left[:, :n_touched], rest @ rotation])
+        self._dense_group = np.concatenate(
+            [group[others], np.full(n_touched, big + 1)])
+        self._diag_group = big + 1
+
+        self.design = design @ coords
+        full = self.design.T @ (stats.n[:, None] * self.design)
+        moment = self.design.T @ stats.s1
+        # Blocks of G in these coordinates: dense (with N N', which sets
+        # the prior-only directions to identity), coupling C, and the
+        # diagonal, the eigenvalues lambda of the rotated category's block.
+        self._null = (coords.T @ null)[:nd]
+        self._gram_dense = full[:nd, :nd] + self._null @ self._null.T
+        self._cross = full[:nd, nd:]
+        self._eig = np.diagonal(full[nd:, nd:]).copy()
+        self._moment_dense = moment[:nd]
+        self._moment_diag = moment[nd:]
+        self._prior_mean = np.zeros(nd)
+        self._prior_mean[0] = ncat * spec.hyper_mean_loc
+        # Factored coordinates to every category's level contrasts.
+        level_cat = np.repeat(np.arange(ncat), self.sizes)
+        levels = np.zeros((len(level_cat), len(group) - 1))
+        for ci, basis in enumerate(bases):
+            levels[np.ix_(level_cat == ci, group[1:] == ci + 1)] = basis
+        self._to_levels = levels @ coords[1:]
+        self._level_split = np.cumsum(self.sizes)[:-1]
         self._key_mean = stats.s1 / np.maximum(stats.n, 1.0)
 
     def effects(self, state: _State) -> list[np.ndarray]:
@@ -292,15 +349,25 @@ class _Model:
         diagonal covariance Lam and the conditional precision is
         P = G / sigma^2 + Lam^-1, G the fixed weighted Gram matrix of the
         design.  With N an orthonormal basis of G's null space and
-        W = N' Lam^-1 N, the factorized matrix is
+        W = N' Lam^-1 N, the matrix
 
-            M = G + sigma^2 (Lam^-1 - Lam^-1 N W^-1 N' Lam^-1) + N N',
+            M = G + sigma^2 (Lam^-1 - Lam^-1 N W^-1 N' Lam^-1) + N N'
 
-        the precision of the identified directions times sigma^2 (a Schur
+        is the precision of the identified directions times sigma^2 (a Schur
         complement), with the prior-only directions N set to identity.  It
-        is well conditioned whatever the scales, so one float64 Cholesky
-        factor is exact to rounding, and log|P| = log|M| + log|W|
-        - 2 (dim - k) log sigma for k = rank N.
+        is well conditioned whatever the scales, and log|P| = log|M|
+        + log|W| - 2 (dim - k) log sigma for k = rank N.
+
+        M is not factored whole.  In the coordinates of __init__ the largest
+        category's contrasts outside N's span are eigenvectors of its Gram
+        block and Lam is sd^2 I on them, so that block of M is the diagonal
+        D = lambda + sigma^2 / sd^2, and N does not reach it.  M is
+        factored through the Schur complement S = M_11 - C D^-1 C' of D,
+        whose dimension is the dense block's (11 at paper size, against 70
+        for M): log|M| = log|S| + sum log D, and the conditional mean and
+        draws follow by block elimination.  The rotation is fixed by the
+        data, not the scales, and each step is an exact identity, so the
+        result is exact to rounding as before.
 
         Returns a _LocationSystem with the factors, the conditional mean,
         and the collapsed log density log p(data | scales) + log p(scales)
@@ -312,27 +379,33 @@ class _Model:
         """
         spec = self.spec
         st = self.stats
-        ncat = len(self.cats)
         # Scales beyond exp(+-150) carry no posterior mass for any data in
         # joules, and their squares and ratios would overflow.
-        log_sd = np.asarray(log_sd, dtype=float)
-        if not (abs(log_sigma) < 150.0 and np.all(np.abs(log_sd) < 150.0)):
+        log_sd = np.asarray(log_sd, dtype=float).tolist()
+        if not (abs(log_sigma) < 150.0
+                and all(abs(u) < 150.0 for u in log_sd)):
             raise _Refused("scale parameters outside the floating-point range")
         sigma = math.exp(log_sigma)
         sigma2 = sigma * sigma
-        sd2 = np.exp(2.0 * log_sd)
-        level_var = spec.hyper_mean_scale ** 2 + sd2 / self.sizes
-        total_var = float(level_var.sum())
-        prior_var = np.concatenate(([total_var], sd2[self._contrast_cat]))
-        prior_mean = np.zeros(len(prior_var))
-        prior_mean[0] = ncat * spec.hyper_mean_loc
-        inv_var = 1.0 / prior_var
+        # Prior variances, as floats: of each category's contrasts (sd^2)
+        # and level mean, and of the intercept g (the level means' sum).
+        sd2 = [math.exp(2.0 * u) for u in log_sd]
+        level_var = [spec.hyper_mean_scale ** 2 + v / n
+                     for v, n in zip(sd2, self.sizes)]
+        group_var = [sum(level_var)] + sd2
+        inv_group = np.array([1.0 / v for v in group_var])
+        inv_var = inv_group[self._dense_group]
+        diag_var = group_var[self._diag_group]
+        diag = self._eig + sigma2 / diag_var
+        prior_mean = self._prior_mean
 
-        # Precision and moment vector multiplied through by sigma^2.
-        prec = self._gram + np.diag(sigma2 * inv_var)
-        rhs = self._moment + sigma2 * inv_var * prior_mean
+        # Dense block of the precision and moment, times sigma^2.  The
+        # prior mean is zero but for the intercept's.
+        prec = self._gram_dense + np.diag(sigma2 * inv_var)
+        rhs = self._moment_dense.copy()
+        rhs[0] += sigma2 * inv_var[0] * prior_mean[0]
         null = self._null
-        coupling = null_chol = None
+        reduced = null_chol = None
         try:
             if null.shape[1]:
                 coupling = inv_var[:, None] * null          # Lam^-1 N
@@ -344,24 +417,28 @@ class _Model:
                 # 1e-10 of the identified precision are refused: a category
                 # sd orders of magnitude below sigma, or sds that differ by
                 # orders of magnitude along one unidentified direction.
-                pinned = sigma2 * float(np.max(inv_var * self._null_weight))
-                w_det = float(np.prod(np.diag(null_chol) ** 2
-                                      / np.diag(null_prec)))
+                pinned = sigma2 * float((inv_group * self._null_weight).max())
+                w_det = float((null_chol.diagonal() ** 2
+                               / null_prec.diagonal()).prod())
                 if not pinned <= 1e6 * self._identified_floor * w_det:
                     raise _Refused("the scales leave directions the data "
                                    "cannot identify too ill-conditioned")
                 reduced = np.linalg.solve(null_prec, coupling.T)
-                prec += self._null_proj - sigma2 * (coupling @ reduced)
-                rhs = rhs - reduced.T @ (null.T @ rhs)
-            chol = np.linalg.cholesky(prec)
-            mean = np.linalg.solve(prec, rhs)
-            if null.shape[1]:
+                prec -= sigma2 * (coupling @ reduced)
+                rhs -= reduced.T @ (null.T @ rhs)
+            # Eliminate the diagonal block.
+            scaled = self._cross / diag
+            schur = prec - scaled @ self._cross.T
+            chol = np.linalg.cholesky(schur)
+            dense = np.linalg.solve(schur, rhs - scaled @ self._moment_diag)
+            rest = (self._moment_diag - self._cross.T @ dense) / diag
+            if reduced is not None:
                 # The prior-only part given the identified part.
-                mean += null @ np.linalg.solve(
-                    null_prec, coupling.T @ (prior_mean - mean))
+                dense += null @ (reduced @ (prior_mean - dense))
         except np.linalg.LinAlgError:
             raise DataError(
                 "location conditional is numerically singular") from None
+        mean = np.concatenate((dense, rest))
 
         # Marginal likelihood by completing the square at the conditional
         # mean: log p(y | m) + log p(m) - log N(m | m, P^-1), with the data
@@ -369,16 +446,19 @@ class _Model:
         # so that no large terms cancel.
         resid = self._key_mean - self.design @ mean
         data_ss = st.ss + float(st.n @ (resid * resid))
-        centered = mean - prior_mean
-        logdet = 2.0 * (float(np.log(np.diag(chol)).sum())
-                        - (len(mean) - null.shape[1]) * log_sigma)
+        centered = dense - prior_mean
+        logdet = (2.0 * (float(np.log(chol.diagonal()).sum())
+                         - (len(mean) - null.shape[1]) * log_sigma)
+                  + float(np.log(diag).sum()))
         if null_chol is not None:
-            logdet += 2.0 * float(np.log(np.diag(null_chol)).sum())
+            logdet += 2.0 * float(np.log(null_chol.diagonal()).sum())
         collapsed = (
             -0.5 * st.n_obs * LOG_2PI - st.n_obs * log_sigma
             - 0.5 * data_ss / sigma2
-            - 0.5 * float(np.log(prior_var).sum())
-            - 0.5 * float(centered @ (inv_var * centered))
+            - 0.5 * sum(d * math.log(v)
+                        for d, v in zip(self._group_dim, group_var))
+            - 0.5 * (float(centered @ (inv_var * centered))
+                     + float(rest @ rest) / diag_var)
             - 0.5 * logdet
         )
         # Scale priors: Exponential(rate) with the log-parameterization
@@ -390,47 +470,49 @@ class _Model:
                       - spec.rate_sigma * sigma + log_sigma)
         if not math.isfinite(collapsed):
             raise DataError("collapsed density is not finite")
-        return _LocationSystem(sigma, np.sqrt(sd2), level_var, chol, mean,
-                               coupling, null_chol, collapsed)
+        return _LocationSystem(sigma, sd2, level_var, chol, diag, mean,
+                               reduced, null_chol, collapsed)
 
     def draw_locations(self, state: _State, system: "_LocationSystem",
                        rng: np.random.Generator) -> None:
         """Exact Gibbs draw of the location block from its full conditional.
 
-        Draws w = (g, t) from its Gaussian conditional -- the identified
-        directions through the factor of M, the prior-only ones from their
-        prior given those -- then splits g over the categories' level
-        means, and each level mean into its hyper-mean and sd * mean(z),
-        from their prior conditionals.
+        Draws w = (g, t) from its Gaussian conditional -- the dense block
+        through the factor of S, the diagonal block given it, and the
+        prior-only directions from their prior given the identified ones --
+        then splits g over the categories' level means, and each level mean
+        into its hyper-mean and sd * mean(z), from their prior conditionals.
         """
         spec = self.spec
-        noise = system.sigma * np.linalg.solve(
-            system.chol.T, rng.standard_normal(len(system.mean)))
+        nd = len(system.chol)
+        standard = rng.standard_normal(len(system.mean))
+        dense = system.sigma * np.linalg.solve(system.chol.T, standard[:nd])
+        # The diagonal block given the dense one:
+        # Normal(-D^-1 C' dense, sigma^2 D^-1).
+        rest = (system.sigma * np.sqrt(system.diag) * standard[nd:]
+                - self._cross.T @ dense) / system.diag
         if system.null_chol is not None:
-            null, null_chol = self._null, system.null_chol
-            noise += null @ (
-                np.linalg.solve(null_chol.T,
-                                rng.standard_normal(null.shape[1]))
-                - np.linalg.solve(null_chol @ null_chol.T,
-                                  system.coupling.T @ noise))
-        w = system.mean + noise
+            dense += self._null @ (
+                np.linalg.solve(system.null_chol.T,
+                                rng.standard_normal(self._null.shape[1]))
+                - system.reduced @ dense)
+        w = system.mean + np.concatenate((dense, rest))
+        sd2 = np.array(system.sd2)
+        level_var = np.array(system.level_var)
         # Level means given their sum g: independent Normal(loc, level_var)
         # conditioned on the total.
-        level_mean = (spec.hyper_mean_loc + np.sqrt(system.level_var)
+        level_mean = (spec.hyper_mean_loc + np.sqrt(level_var)
                       * rng.standard_normal(len(self.cats)))
-        level_mean += (system.level_var / system.level_var.sum()
-                       * (w[0] - level_mean.sum()))
+        level_mean += level_var / level_var.sum() * (w[0] - level_mean.sum())
         # Offset of each level mean from its hyper-mean, given the level mean.
-        share = system.sd ** 2 / self.sizes / system.level_var
+        share = sd2 / self.sizes / level_var
         offset = ((level_mean - spec.hyper_mean_loc) * share
                   + spec.hyper_mean_scale * np.sqrt(share)
                   * rng.standard_normal(len(self.cats)))
         state.mu = level_mean - offset
-        start = 1
-        for ci, basis in enumerate(self.bases):
-            contrast = basis @ w[start:start + basis.shape[1]]
-            start += basis.shape[1]
-            state.z[ci] = (offset[ci] + contrast) / system.sd[ci]
+        contrasts = np.split(self._to_levels @ w, self._level_split)
+        for ci, (contrast, sd) in enumerate(zip(contrasts, np.sqrt(sd2))):
+            state.z[ci] = (offset[ci] + contrast) / sd
 
 
 @dataclass
@@ -438,11 +520,12 @@ class _LocationSystem:
     """Factorized Gaussian conditional of the location block."""
 
     sigma: float           # likelihood sd
-    sd: np.ndarray         # category sds
-    level_var: np.ndarray  # prior variance of each category's level mean
-    chol: np.ndarray       # Cholesky factor of M
-    mean: np.ndarray       # conditional mean of w = (g, t)
-    coupling: np.ndarray | None   # Lam^-1 N, None when the design has full rank
+    sd2: list[float]       # category variances sd^2
+    level_var: list[float]  # prior variance of each category's level mean
+    chol: np.ndarray       # Cholesky factor of the Schur complement S
+    diag: np.ndarray       # diagonal block D of M
+    mean: np.ndarray       # conditional mean of w in the factored coordinates
+    reduced: np.ndarray | None    # W^-1 N' Lam^-1, None when G has full rank
     null_chol: np.ndarray | None  # Cholesky factor of W = N' Lam^-1 N
     collapsed: float       # log p(data | scales) + log p(scales)
 
@@ -502,10 +585,12 @@ SCALE_SWEEPS = 3  # scale sweeps per iteration, each ending in a mode swap
 def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator):
     """One chain: (draws x params) samples, acceptance rates and its trace.
 
-    The trace holds the warmup and sampling seconds, the collapsed
-    evaluations (calls of location_system, 1 + iterations * 3 * (C + 2)),
-    and the rejected proposals split into those location_system refused on
-    purpose and those whose density was singular or not finite.
+    The trace holds the warmup and sampling seconds, the seconds spent in
+    location_system and its calls (the collapsed evaluations,
+    1 + iterations * 3 * (C + 2)), the rejected proposals split into those
+    location_system refused on purpose and those whose density was
+    singular or not finite, the final (log-scale) step sizes, and the mode
+    swaps proposed and accepted per category pair.
     """
     started = time.perf_counter()
     spec = model.spec
@@ -516,7 +601,18 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
         log_sd=np.full(ncat, math.log(1.0 / spec.rate_category_sd)),
         log_sigma=math.log(1.0 / spec.rate_sigma),
     )
-    system = model.location_system(state.log_sd, state.log_sigma)
+    location_s = 0.0
+
+    def evaluate(log_sd, log_sigma):
+        """location_system, timed into location_s."""
+        nonlocal location_s
+        called = time.perf_counter()
+        try:
+            return model.location_system(log_sd, log_sigma)
+        finally:
+            location_s += time.perf_counter() - called
+
+    system = evaluate(state.log_sd, state.log_sigma)
     counts = {"evaluations": 1, "refused_states": 0, "nonfinite_states": 0}
 
     steps = {
@@ -526,14 +622,14 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
 
     samples = np.empty((draws, _n_sampled_params(model)))
     swap_pairs = [(i, j) for i in range(ncat) for j in range(i + 1, ncat)]
-    swap_proposed = swap_accepted = 0
+    swaps = {pair: [0, 0] for pair in swap_pairs}  # proposed, accepted
 
     def metropolis(step: _StepSize | None, log_sd, log_sigma, adapting):
         """Collapsed scale update: accept against p(scales | data)."""
         nonlocal system
         counts["evaluations"] += 1
         try:
-            proposed = model.location_system(log_sd, log_sigma)
+            proposed = evaluate(log_sd, log_sigma)
         except _Refused:
             proposed = None
             counts["refused_states"] += 1
@@ -555,7 +651,6 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
         return accepted
 
     def iteration(adapting: bool):
-        nonlocal swap_proposed, swap_accepted
         for _ in range(SCALE_SWEEPS):
             for ci in range(ncat):
                 step = steps["log_sd"][ci]
@@ -579,10 +674,10 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
                 pair = swap_pairs[rng.integers(len(swap_pairs))]
                 proposal = state.log_sd.copy()
                 proposal[list(pair)] = proposal[list(pair[::-1])]
-                swap_proposed += 1
+                swaps[pair][0] += 1
                 if metropolis(None, proposal, state.log_sigma, adapting):
                     state.log_sd = proposal
-                    swap_accepted += 1
+                    swaps[pair][1] += 1
 
         # Location block: exact multivariate-normal Gibbs draw.
         model.draw_locations(state, system, rng)
@@ -594,13 +689,25 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
         iteration(adapting=False)
         samples[i] = _flatten(model, state)
 
+    swap_proposed = sum(p for p, _ in swaps.values())
+    swap_accepted = sum(a for _, a in swaps.values())
     acc = {
         "log_sd": float(np.mean([s.rate() for s in steps["log_sd"]])),
         "log_sigma": steps["log_sigma"].rate(),
         "swap": swap_accepted / swap_proposed if swap_proposed else 1.0,
     }
-    trace = {"warmup_s": warmed_up - started,
-             "sampling_s": time.perf_counter() - warmed_up, **counts}
+    cats = model.cats
+    trace = {
+        "warmup_s": warmed_up - started,
+        "sampling_s": time.perf_counter() - warmed_up,
+        "location_s": location_s,
+        **counts,
+        "step_sizes": {**{f"sd[{cat}]": step.value
+                          for cat, step in zip(cats, steps["log_sd"])},
+                       "sigma": steps["log_sigma"].value},
+        "swaps": {f"{cats[i]}/{cats[j]}": {"proposed": p, "accepted": a}
+                  for (i, j), (p, a) in swaps.items()},
+    }
     return samples, acc, trace
 
 
@@ -821,10 +928,11 @@ def fit(
     parameter misses the R-hat/ESS gates.
 
     ``meta`` records the run: its configuration, per-chain acceptance and
-    trace (seconds, collapsed evaluations, refused and non-finite
-    proposals), their totals, the worker processes and wall seconds of the
-    chains (the sum of the chains' seconds over it is the parallel
-    speed-up), and the software and platform that ran it.
+    trace (seconds, seconds in location_system, collapsed evaluations,
+    refused and non-finite proposals, final step sizes, swaps per category
+    pair), the totals of the rejected proposals, the worker processes and
+    wall seconds of the chains (the sum of the chains' seconds over it is
+    the parallel speed-up), and the software and platform that ran it.
     """
     if chains < 2:
         raise DataError("at least 2 chains are required for split diagnostics")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import catalog
 from .catalog import PatternKey, PatternTriple
@@ -90,9 +90,9 @@ def subtract_baseline(
     for r in records:
         if r.device not in means:
             raise MissingBaseline(r.device)
-        corrected.append(
-            replace(r, energy=r.energy - means[r.device], baseline_corrected=True)
-        )
+        corrected.append(MeasurementRecord(
+            r.key, r.device, r.energy - means[r.device],
+            baseline_corrected=True))
     return corrected
 
 

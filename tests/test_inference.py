@@ -239,9 +239,21 @@ def test_fit_meta_records_run_configuration(recovery_fit):
     assert 1 <= meta["workers"] <= 4
     assert len(meta["trace"]) == 4
     evaluations = 1 + (1000 + 1000) * inference.SCALE_SWEEPS * (4 + 2)
-    for trace in meta["trace"]:
+    swap_proposals = (1000 + 1000) * inference.SCALE_SWEEPS
+    for trace, acceptance in zip(meta["trace"], meta["acceptance"]):
         assert trace["evaluations"] == evaluations
         assert trace["warmup_s"] > 0 and trace["sampling_s"] > 0
+        assert 0 < trace["location_s"] <= (trace["warmup_s"]
+                                           + trace["sampling_s"])
+        assert set(trace["step_sizes"]) == {"sd[alpha]", "sd[beta]",
+                                            "sd[gamma]", "sd[delta]", "sigma"}
+        assert all(v > 0 for v in trace["step_sizes"].values())
+        swaps = trace["swaps"]
+        assert len(swaps) == 6 and "alpha/beta" in swaps
+        assert sum(s["proposed"] for s in swaps.values()) == swap_proposals
+        accepted = sum(s["accepted"] for s in swaps.values())
+        assert accepted == round(acceptance["swap"] * swap_proposals)
+        assert all(0 <= s["accepted"] <= s["proposed"] for s in swaps.values())
     for count in ("refused_states", "nonfinite_states"):
         assert meta[count] == sum(t[count] for t in meta["trace"])
     assert meta["chains_wall_s"] > 0
@@ -359,7 +371,20 @@ def _confounded_design():
             if k[0][1:] == k[2][1:]}
 
 
-DESIGNS = {"crossed": _crossed_design, "confounded": _confounded_design}
+def _reference_design():
+    # Like the catalog's reference patterns: operation oref occurs only
+    # with size sref and type tref, which occur with nothing else.  The
+    # unidentified directions then reach into the operations, the largest
+    # category, whose contrasts location_system eliminates in closed form.
+    data = _crossed_design()
+    rng = np.random.default_rng(12)
+    for device in ("device1", "device2"):
+        data[("sref", "oref", "tref", device)] = rng.normal(6e-8, 1.36e-8, 5)
+    return data
+
+
+DESIGNS = {"crossed": _crossed_design, "confounded": _confounded_design,
+           "reference": _reference_design}
 
 # Every sd 1e4 times below sigma: exact on a design of full rank, refused
 # where the sds scale directions that the data cannot identify.
@@ -479,6 +504,12 @@ def test_location_draws_match_full_conditional(design):
                        for i in range(dim)])
     white = standardized @ whiten.T
     assert np.allclose(np.cov(white, rowvar=False), np.eye(dim), atol=0.15)
+
+
+def test_reference_design_reaches_the_eliminated_category():
+    _, model = _bound_model(_reference_design())
+    assert model._null.shape[1] == 2
+    assert np.count_nonzero(model._dense_group == model._diag_group) == 1
 
 
 def test_location_system_refuses_states_it_cannot_compute_exactly():
