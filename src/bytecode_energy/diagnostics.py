@@ -1,9 +1,10 @@
 """Convergence and fit diagnostics: split R-hat, ESS, MCSE, predictive checks.
 
-Plain (non rank-normalized) split diagnostics: each chain is halved, the
-between/within variance ratio gives R-hat, and ESS comes from the
-initial-positive-sequence sum of multi-chain autocorrelations.  Results can
-therefore differ slightly from rank-normalizing toolchains.
+Plain (non rank-normalized) split diagnostics of every parameter in one pass:
+the halved chains' means and within-chain variance give R-hat and normalise
+the FFT autocovariances, ESS sums the autocorrelations over Geyer's initial
+positive sequence, and MCSE is sd / sqrt(ESS) from that same ESS.  Results
+can therefore differ slightly from rank-normalizing toolchains.
 """
 
 from __future__ import annotations
@@ -23,72 +24,73 @@ ESS_RATIO_GATE = 1e-4
 ESS_CAP_FACTOR = 1.5
 
 
-def _split(chains: np.ndarray) -> np.ndarray:
-    """Halve each chain: (m, n) -> (2m, n//2)."""
-    chains = np.asarray(chains, dtype=float)
-    if chains.ndim != 2 or chains.shape[0] < 2 or chains.shape[1] < 4:
+def summarize(draws) -> dict[str, np.ndarray]:
+    """Mean, sd, MCSE, ESS and split R-hat of each column of the draws.
+
+    ``draws`` is (chains, n, params); each name maps to a length-params array.
+    Raises ValueError unless there are >= 2 chains of >= 4 draws, and
+    DegenerateChains when a parameter's split chains are constant.
+    """
+    x = np.asarray(draws, dtype=float)
+    if x.ndim != 3 or x.shape[0] < 2 or x.shape[1] < 4:
         raise ValueError("need >= 2 chains with >= 4 draws each")
-    half = chains.shape[1] // 2
-    return np.concatenate([chains[:, :half], chains[:, half:2 * half]], axis=0)
+    chains, length, params = x.shape
+    n = length // 2
+    halves = x[:, :2 * n].reshape(2 * chains, n, params)
+    chain_means = halves.mean(axis=1)
+    w = halves.var(axis=1, ddof=1).mean(axis=0)
+    degenerate = (np.ptp(halves, axis=(0, 1)) == 0.0) | (w == 0.0)
+    if degenerate.any():
+        raise DegenerateChains(f"parameter {int(np.argmax(degenerate))} has "
+                               "constant split chains; R-hat/ESS undefined")
+    var_hat = (n - 1) / n * w + chain_means.var(axis=0, ddof=1)
+
+    # Autocovariance (biased, 1/n) averaged over the half-chains, by FFT one
+    # parameter at a time: a transform of the whole array costs more memory.
+    nfft = 1 << (2 * n - 1).bit_length()
+    acov = np.empty((params, n))
+    for j in range(params):
+        spectrum = np.fft.rfft(halves[:, :, j] - chain_means[:, j, None],
+                               nfft, axis=1)
+        power = spectrum.real ** 2 + spectrum.imag ** 2
+        acov[j] = np.fft.irfft(power, nfft, axis=1)[:, :n].mean(axis=0) / n
+    rho = 1.0 - (w[:, None] - acov) / var_hat[:, None]
+
+    # Sum the lag pairs (t, t + 1), odd t and t + 1 < n, while they stay
+    # positive (Geyer).  A NaN pair does not stop the sum: NaN draws give NaN.
+    last = 2 * ((n - 1) // 2)
+    pair_sums = rho[:, 1:last:2] + rho[:, 2:last + 1:2]
+    positive = np.logical_and.accumulate(~(pair_sums <= 0.0), axis=1)
+    tau = np.where(positive, pair_sums, 0.0).sum(axis=1)
+    total = 2 * chains * n
+    ess_values = np.minimum(total / (1.0 + 2.0 * tau), ESS_CAP_FACTOR * total)
+
+    flat = x.reshape(-1, params)
+    sd = flat.std(axis=0, ddof=1)
+    return {"mean": flat.mean(axis=0), "sd": sd,
+            "mcse": sd / np.sqrt(ess_values), "ess": ess_values,
+            "rhat": np.sqrt(var_hat / w)}
+
+
+def _column(chains, field: str) -> float:
+    """One summary column of a single parameter's (chains, n) draws."""
+    one = np.asarray(chains, dtype=float)[..., np.newaxis]
+    return float(summarize(one)[field][0])
 
 
 def split_rhat(chains) -> float:
     """Split-chain potential scale reduction factor."""
-    halves = _split(chains)
-    m, n = halves.shape
-    if np.ptp(halves) == 0.0:
-        raise DegenerateChains("all draws identical; R-hat undefined")
-    chain_means = halves.mean(axis=1)
-    w = halves.var(axis=1, ddof=1).mean()
-    b = n * chain_means.var(ddof=1)
-    if w == 0.0:
-        raise DegenerateChains("zero within-chain variance; R-hat undefined")
-    var_hat = (n - 1) / n * w + b / n
-    return float(np.sqrt(var_hat / w))
-
-
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Sample autocovariance of one chain at all lags (biased, 1/n)."""
-    n = len(x)
-    centered = x - x.mean()
-    acov = np.correlate(centered, centered, mode="full")[n - 1:]
-    return acov / n
+    return _column(chains, "rhat")
 
 
 def ess(chains) -> float:
     """Multi-chain effective sample size (initial positive sequence)."""
-    halves = _split(chains)
-    m, n = halves.shape
-    if np.ptp(halves) == 0.0:
-        raise DegenerateChains("all draws identical; ESS undefined")
-
-    chain_means = halves.mean(axis=1)
-    w = halves.var(axis=1, ddof=1).mean()
-    if w == 0.0:
-        raise DegenerateChains("zero within-chain variance; ESS undefined")
-    var_hat = (n - 1) / n * w + chain_means.var(ddof=1)
-
-    acov = np.mean([_autocovariance(halves[i]) for i in range(m)], axis=0)
-    rho = 1.0 - (w - acov) / var_hat  # rho[0] is ~1 by construction
-
-    # Sum consecutive-lag pairs while they stay positive (Geyer).
-    tau = 0.0
-    t = 1
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0.0:
-            break
-        tau += pair
-        t += 2
-    total = m * n
-    estimate = total / (1.0 + 2.0 * tau)
-    return float(min(estimate, ESS_CAP_FACTOR * total))
+    return _column(chains, "ess")
 
 
 def mcse(chains) -> float:
     """Monte Carlo standard error of the posterior mean: sd / sqrt(ESS)."""
-    flat = np.asarray(chains, dtype=float).reshape(-1)
-    return float(flat.std(ddof=1) / np.sqrt(ess(chains)))
+    return _column(chains, "mcse")
 
 
 @dataclass

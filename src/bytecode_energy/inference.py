@@ -193,10 +193,6 @@ class _State:
     log_sd: np.ndarray         # log category sds of sampled categories
     log_sigma: float
 
-    def copy(self) -> "_State":
-        return _State([z.copy() for z in self.z], self.mu.copy(),
-                      self.log_sd.copy(), self.log_sigma)
-
 
 def _contrast_basis(n_levels: int) -> np.ndarray:
     """Orthonormal Helmert basis of the sum-to-zero vectors in R^n_levels."""
@@ -858,7 +854,17 @@ class PosteriorModel:
         draws = draw_names = None
         if obj.get("draws"):
             draw_names = list(obj["draws"]["names"])
-            draws = np.asarray(obj["draws"]["values"], dtype=float)
+            try:
+                draws = np.asarray(obj["draws"]["values"])
+            except ValueError:
+                raise DataError("model draws are not rectangular") from None
+            if (draws.dtype.kind not in "iuf" or draws.ndim != 3
+                    or draws.shape[2] != len(draw_names)):
+                raise DataError(
+                    f"model draws must be a numeric (chains, draws, "
+                    f"{len(draw_names)}) array, one column per name; got "
+                    f"{draws.dtype} of shape {draws.shape}")
+            draws = draws.astype(float, copy=False)
         model = cls(
             levels={k: list(v) for k, v in obj["levels"].items()},
             summaries={k: dict(v) for k, v in obj["summaries"].items()},
@@ -867,7 +873,10 @@ class PosteriorModel:
             draws=draws,
         )
         if model.has_draws():
-            recomputed = summarize_draws(model.draws, model.draw_names)
+            try:
+                recomputed = summarize_draws(model.draws, model.draw_names)
+            except ValueError as exc:
+                raise DataError(f"model draws: {exc}") from None
             for name, s in recomputed.items():
                 stored = model.summaries.get(name)
                 if stored is None or not _close(stored, s):
@@ -895,18 +904,10 @@ def _close(a: dict, b: dict, rtol: float = 1e-6) -> bool:
 
 def summarize_draws(draws: np.ndarray, names: list[str]) -> dict[str, dict]:
     """Per-parameter mean/sd/MCSE/ESS/R-hat from (chains, n, params) draws."""
-    out = {}
-    for j, name in enumerate(names):
-        chains = draws[:, :, j]
-        flat = chains.reshape(-1)
-        out[name] = {
-            "mean": float(flat.mean()),
-            "sd": float(flat.std(ddof=1)),
-            "mcse": float(diagnostics.mcse(chains)),
-            "ess": float(diagnostics.ess(chains)),
-            "rhat": float(diagnostics.split_rhat(chains)),
-        }
-    return out
+    columns = {field: values.tolist()
+               for field, values in diagnostics.summarize(draws).items()}
+    return {name: {field: values[j] for field, values in columns.items()}
+            for j, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +935,11 @@ def fit(
     wall seconds of the chains (the sum of the chains' seconds over it is
     the parallel speed-up), and the software and platform that ran it.
     """
-    if chains < 2:
-        raise DataError("at least 2 chains are required for split diagnostics")
+    if chains < 2 or draws < 4:
+        raise DataError("split diagnostics need at least 2 chains of at "
+                        f"least 4 draws each (chains={chains}, draws={draws})")
+    if warmup < 0:
+        raise DataError(f"warmup must be >= 0, got {warmup}")
     if spec is None:
         spec = ModelSpec.from_keys(data.keys())
     stats = _SuffStats(data, spec)

@@ -136,11 +136,17 @@ def test_fit_recovers_operation_contrast(fitted_model):
     assert abs(contrast - 3e-9) < 4e-9
 
 
-def test_fit_single_chain_exits_1(measurements, workdir, capsys):
+@pytest.mark.parametrize("option, value", [
+    ("--chains", "1"), ("--draws", "3"), ("--draws", "-1"), ("--warmup", "-1"),
+], ids=["chains=1", "draws=3", "draws=-1", "warmup=-1"])
+def test_fit_argument_out_of_range_exits_1(measurements, workdir, capsys,
+                                           option, value):
     rc = cli.main(["fit", "--measurements", str(measurements),
-                   "--out", str(workdir / "nope.json"), "--chains", "1"])
+                   "--out", str(workdir / "nope.json"), option, value])
     assert rc == 1
-    assert "chains" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option[2:] in err
+    assert "Traceback" not in err
 
 
 def test_fit_unknown_device_filter_exits_1(measurements, workdir):

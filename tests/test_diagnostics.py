@@ -15,9 +15,10 @@ from bytecode_energy.diagnostics import (
     posterior_predictive_check,
     report,
     split_rhat,
+    summarize,
 )
 from bytecode_energy.errors import DegenerateChains
-from bytecode_energy.inference import PosteriorModel
+from bytecode_energy.inference import PosteriorModel, summarize_draws
 
 IID = np.random.default_rng(0).standard_normal((4, 1000))
 
@@ -38,6 +39,10 @@ def test_constant_chains_are_degenerate():
     for func in (split_rhat, ess, mcse):
         with pytest.raises(DegenerateChains):
             func(chains)
+    draws = np.random.default_rng(2).standard_normal((4, 100, 3))
+    draws[:, :, 1] = 5.0
+    with pytest.raises(DegenerateChains):
+        summarize_draws(draws, ["a", "b", "c"])
 
 
 def test_zero_within_chain_variance_is_degenerate():
@@ -51,6 +56,64 @@ def test_requires_two_chains_and_four_draws():
         split_rhat(np.random.default_rng(0).standard_normal((1, 100)))
     with pytest.raises(ValueError):
         ess(np.random.default_rng(0).standard_normal((4, 3)))
+
+
+def _reference_summary(chains):
+    """One parameter's columns by direct O(n^2) lag sums and Geyer's loop."""
+    _, length = chains.shape
+    n = length // 2
+    halves = [chain[:n] for chain in chains] + [chain[n:2 * n]
+                                                 for chain in chains]
+    means = [h.mean() for h in halves]
+    centered = [h - mu for h, mu in zip(halves, means)]
+    w = sum(float(c @ c) for c in centered) / (len(halves) * (n - 1))
+    var_hat = (n - 1) / n * w + np.var(means, ddof=1)
+    acov = [sum(float(c[:n - t] @ c[t:]) for c in centered)
+            / (len(halves) * n) for t in range(n)]
+    tau = 0.0
+    t = 1
+    while t + 1 < n:
+        pair = 2.0 - (2.0 * w - acov[t] - acov[t + 1]) / var_hat
+        if pair <= 0.0:
+            break
+        tau += pair
+        t += 2
+    total = len(halves) * n
+    ess_value = min(total / (1.0 + 2.0 * tau), ESS_CAP_FACTOR * total)
+    flat = chains.reshape(-1)
+    sd = flat.std(ddof=1)
+    return {"mean": flat.mean(), "sd": sd, "mcse": sd / math.sqrt(ess_value),
+            "ess": ess_value, "rhat": math.sqrt(var_hat / w)}
+
+
+def _ar1(rng, rho, shape):
+    x = np.empty(shape)
+    x[..., 0] = rng.standard_normal(shape[:-1])
+    for t in range(1, shape[-1]):
+        x[..., t] = rho * x[..., t - 1] + math.sqrt(1 - rho * rho) * \
+            rng.standard_normal(shape[:-1])
+    return x
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(17)
+    odd = _ar1(rng, 0.5, (4, 57))[:, :, np.newaxis]
+    minimal = rng.standard_normal((2, 4, 1))
+    scales = np.array([1e-9, 1e-5, 1.0, 1e2, 1e3])
+    mixed = rng.standard_normal((3, 101, 5)) * scales + 10.0 * scales
+    mixed[:, :, 3] = 1e2 * _ar1(rng, 0.95, (3, 101)) + 3e2
+    return odd, minimal, mixed
+
+
+def test_summarize_matches_direct_reference():
+    for draws in _oracle_cases():
+        columns = summarize(draws)
+        for j in range(draws.shape[2]):
+            alone = summarize(draws[:, :, j:j + 1])
+            expected = _reference_summary(draws[:, :, j])
+            for field, value in expected.items():
+                assert columns[field][j] == pytest.approx(value, rel=1e-12)
+                assert alone[field][0] == pytest.approx(value, rel=1e-12)
 
 
 def test_iid_ess_within_20_percent_of_draw_count():

@@ -1,12 +1,13 @@
 """Model density oracles, sampler behavior, and posterior containers."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from bytecode_energy import diagnostics, inference
+from bytecode_energy import cli, diagnostics, inference
 from bytecode_energy.errors import DataError, UnknownLevel
 from bytecode_energy.inference import (
     ModelSpec,
@@ -287,6 +288,45 @@ def test_load_rejects_tampered_summaries(recovery_fit, tmp_path):
     obj["summaries"][first]["mean"] *= 1.01
     with pytest.raises(DataError):
         PosteriorModel.from_json_dict(obj)
+
+
+def _extra_name(draws):
+    draws["names"].append("extra")
+
+
+def _missing_name(draws):
+    draws["names"].pop()
+
+
+def _ragged_values(draws):
+    draws["values"][0].pop()
+
+
+def _text_value(draws):
+    draws["values"][0][0][0] = "x"
+
+
+def _two_dimensional(draws):
+    draws["values"] = draws["values"][0]
+
+
+def _one_chain(draws):
+    draws["values"] = draws["values"][:1]
+
+
+@pytest.mark.parametrize("corrupt", [_extra_name, _missing_name,
+                                     _ragged_values, _text_value,
+                                     _two_dimensional, _one_chain])
+def test_diagnose_rejects_malformed_draws(recovery_fit, tmp_path, capsys,
+                                          corrupt):
+    _, _, _, model = recovery_fit
+    obj = json.loads(json.dumps(model.to_json_dict()))
+    corrupt(obj["draws"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main(["diagnose", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model draws") and "Traceback" not in err
 
 
 def test_summary_only_model_has_no_draws(recovery_fit, tmp_path):
