@@ -4,25 +4,29 @@ The model: each observed energy J is Normal(mu, sigma) with
 mu = alpha[size] + beta[operation] + gamma[type] + delta[device].
 Level effects get Normal(hyper_mean, category_sd) priors, hyper-means get
 Normal(0.006 J, 0.001 J) priors, and all scales get Exponential(1e3) priors.
-Sampling works on the non-centered parameterization (effect =
-hyper_mean + category_sd * z, z standard normal) with positive scales on
-the log axis.
+log_posterior evaluates the joint density on the non-centered
+parameterization (effect = hyper_mean + category_sd * z, z standard
+normal) with positive scales on the log axis; the sampler works on the
+log scales alone.
 
 The kernel is a collapsed Metropolis-within-Gibbs sweep.  Conditional on
 the scale parameters the model is linear-Gaussian, so the location block
-(every z vector plus all hyper-means, jointly) has a multivariate-normal
+(every level effect plus all hyper-means, jointly) has a multivariate-normal
 full conditional and a closed-form marginal likelihood.  Each iteration
 makes SCALE_SWEEPS (three) sweeps over the scales; a sweep updates every
 log scale by adaptive scalar random-walk Metropolis against the collapsed
 target p(scales | data) -- locations integrated out -- and then proposes
 one mode swap between two category sds.  That is 3 * (C + 2) collapsed
-evaluations per iteration for C sampled categories.  The iteration ends
-by redrawing the whole location block exactly from its Gaussian full
-conditional.  Collapsing is what makes the sampler robust: the additive
-structure creates near-flat ridges (a constant can move between
-categories, or between a hyper-mean and its z vector) and a multimodal
-funnel in (category sd, z) space, and both disappear once the locations
-are marginalized.  The collapsed density is computed in float64 in
+evaluations per iteration for C sampled categories.  The chain's state is
+the log scales and the location system they factor; the iteration ends by
+drawing the whole location block exactly from that Gaussian full
+conditional, which gives the stored row: each level effect as its
+category's level mean plus its contrast, and each category's hyper-mean.
+Collapsing is what makes the sampler robust: the additive structure
+creates near-flat ridges (a constant can move between categories, or
+between a hyper-mean and its level effects) and a multimodal funnel in
+(category sd, effect) space, and both disappear once the locations are
+marginalized.  The collapsed density is computed in float64 in
 coordinates that the data identify (a grand intercept and sum-to-zero
 contrasts), where it is exact to rounding.  The contrasts of the category
 with the most levels (the operations) are rotated, once per model, onto
@@ -107,6 +111,11 @@ class ModelSpec:
         # delta is then fixed at zero and excluded from sampling.
         return len(self.devices) > 1
 
+    @property
+    def sampled_categories(self) -> tuple[str, ...]:
+        """The categories whose effects are sampled, in draw column order."""
+        return CATEGORY_NAMES[:4 if self.device_effect_sampled else 3]
+
     @classmethod
     def from_keys(cls, keys, **prior_kwargs) -> "ModelSpec":
         keys = [_as_levels(k) for k in keys]
@@ -164,10 +173,9 @@ class _SuffStats:
             s2.append(np.square(values).sum())
             ss.append(np.square(values - values.mean()).sum()
                       if len(values) else 0.0)
-        self.ia = np.array(ia, dtype=int)
-        self.ib = np.array(ib, dtype=int)
-        self.ic = np.array(ic, dtype=int)
-        self.id = np.array(idx_d, dtype=int)
+        # Each key's level index in each category, in CATEGORY_NAMES order.
+        self.levels = tuple(np.array(idx, dtype=int)
+                            for idx in (ia, ib, ic, idx_d))
         self.n = np.array(n, dtype=float)
         self.s1 = np.array(s1, dtype=float)
         self.s2 = np.array(s2, dtype=float)
@@ -182,16 +190,6 @@ def _digest(items) -> str:
         h.update(repr(levels).encode())
         h.update(np.ascontiguousarray(values).tobytes())
     return h.hexdigest()
-
-
-@dataclass
-class _State:
-    """Non-centered sampler state for one chain."""
-
-    z: list[np.ndarray]        # one z-vector per sampled category
-    mu: np.ndarray             # hyper-means of sampled categories
-    log_sd: np.ndarray         # log category sds of sampled categories
-    log_sigma: float
 
 
 def _contrast_basis(n_levels: int) -> np.ndarray:
@@ -210,10 +208,8 @@ class _Model:
     def __init__(self, spec: ModelSpec, stats: _SuffStats):
         self.spec = spec
         self.stats = stats
-        self.cats = list(CATEGORY_NAMES) if spec.device_effect_sampled else [
-            "alpha", "beta", "gamma"]
+        self.cats = spec.sampled_categories
         self.sizes = [len(spec.level_sets[c]) for c in self.cats]
-        self.n_devices = len(spec.devices)
 
         # The data see the location block only through the key means, and
         # those depend on it only through a grand intercept g (the sum of
@@ -225,7 +221,7 @@ class _Model:
         # categories and into hyper-mean and sd * mean(z)) is informed by
         # the prior alone and is integrated and drawn in closed form.
         ncat = len(self.cats)
-        level_idx = [stats.ia, stats.ib, stats.ic, stats.id][:ncat]
+        level_idx = stats.levels[:ncat]
         bases = [_contrast_basis(n) for n in self.sizes]
         design = np.hstack(
             [np.ones((len(stats.n), 1))]
@@ -295,48 +291,7 @@ class _Model:
         for ci, basis in enumerate(bases):
             levels[np.ix_(level_cat == ci, group[1:] == ci + 1)] = basis
         self._to_levels = levels @ coords[1:]
-        self._level_split = np.cumsum(self.sizes)[:-1]
         self._key_mean = stats.s1 / np.maximum(stats.n, 1.0)
-
-    def effects(self, state: _State) -> list[np.ndarray]:
-        effs = [state.mu[i] + math.exp(state.log_sd[i]) * state.z[i]
-                for i in range(len(self.cats))]
-        if not self.spec.device_effect_sampled:
-            effs.append(np.zeros(self.n_devices))
-        return effs
-
-    def key_means(self, state: _State) -> np.ndarray:
-        a, b, c, d = self.effects(state)
-        st = self.stats
-        return a[st.ia] + b[st.ib] + c[st.ic] + d[st.id]
-
-    def log_posterior(self, state: _State) -> float:
-        spec, st = self.spec, self.stats
-
-        sigma = math.exp(state.log_sigma)
-        mu_keys = self.key_means(state)
-        quad = float(np.sum(st.s2 - 2.0 * mu_keys * st.s1
-                            + st.n * mu_keys * mu_keys))
-        loglik = (-0.5 * st.n_obs * LOG_2PI - st.n_obs * state.log_sigma
-                  - 0.5 * quad / (sigma * sigma))
-
-        lp = loglik
-        # z ~ Normal(0, 1)
-        for z in state.z:
-            lp += -0.5 * len(z) * LOG_2PI - 0.5 * float(z @ z)
-        # hyper-means ~ Normal(loc, scale)
-        resid = (state.mu - spec.hyper_mean_loc) / spec.hyper_mean_scale
-        lp += (-0.5 * len(state.mu) * LOG_2PI
-               - len(state.mu) * math.log(spec.hyper_mean_scale)
-               - 0.5 * float(resid @ resid))
-        # category sds ~ Exponential(rate), sampled as log sd (Jacobian +u)
-        rate = spec.rate_category_sd
-        for u in state.log_sd:
-            lp += math.log(rate) - rate * math.exp(u) + u
-        # likelihood sd ~ Exponential(rate), log scale
-        lp += (math.log(spec.rate_sigma)
-               - spec.rate_sigma * sigma + state.log_sigma)
-        return lp
 
     def location_system(self, log_sd: np.ndarray, log_sigma: float):
         """Gaussian full conditional of the location block given the scales.
@@ -466,18 +421,21 @@ class _Model:
                       - spec.rate_sigma * sigma + log_sigma)
         if not math.isfinite(collapsed):
             raise DataError("collapsed density is not finite")
-        return _LocationSystem(sigma, sd2, level_var, chol, diag, mean,
-                               reduced, null_chol, collapsed)
+        return _LocationSystem(log_sd, log_sigma, sigma, sd2, level_var, chol,
+                               diag, mean, reduced, null_chol, collapsed)
 
-    def draw_locations(self, state: _State, system: "_LocationSystem",
-                       rng: np.random.Generator) -> None:
-        """Exact Gibbs draw of the location block from its full conditional.
+    def draw_locations(self, system: "_LocationSystem",
+                       rng: np.random.Generator) -> np.ndarray:
+        """Exact Gibbs draw of the location block, as a param_names row.
 
         Draws w = (g, t) from its Gaussian conditional -- the dense block
         through the factor of S, the diagonal block given it, and the
         prior-only directions from their prior given the identified ones --
         then splits g over the categories' level means, and each level mean
-        into its hyper-mean and sd * mean(z), from their prior conditionals.
+        into its hyper-mean and an offset, from their prior conditionals.
+        The row holds sigma, each level effect (its category's level mean
+        plus its contrast), and each category's hyper-mean and sd, the
+        scales being those of the system.
         """
         spec = self.spec
         nd = len(system.chol)
@@ -505,16 +463,18 @@ class _Model:
         offset = ((level_mean - spec.hyper_mean_loc) * share
                   + spec.hyper_mean_scale * np.sqrt(share)
                   * rng.standard_normal(len(self.cats)))
-        state.mu = level_mean - offset
-        contrasts = np.split(self._to_levels @ w, self._level_split)
-        for ci, (contrast, sd) in enumerate(zip(contrasts, np.sqrt(sd2))):
-            state.z[ci] = (offset[ci] + contrast) / sd
+        effects = np.repeat(level_mean, self.sizes) + self._to_levels @ w
+        sd = [math.exp(u) for u in system.log_sd]
+        hyper = np.column_stack((level_mean - offset, sd)).ravel()
+        return np.concatenate(([system.sigma], effects, hyper))
 
 
 @dataclass
 class _LocationSystem:
     """Factorized Gaussian conditional of the location block."""
 
+    log_sd: list[float]    # the scales it is conditional on: log category sds
+    log_sigma: float       # and log likelihood sd
     sigma: float           # likelihood sd
     sd2: list[float]       # category variances sd^2
     level_var: list[float]  # prior variance of each category's level mean
@@ -526,21 +486,47 @@ class _LocationSystem:
     collapsed: float       # log p(data | scales) + log p(scales)
 
 
-def log_posterior(theta: _State | dict, data: dict, spec: ModelSpec) -> float:
+def log_posterior(theta: dict, data: dict, spec: ModelSpec) -> float:
     """Joint log density (likelihood + priors) on the non-centered scale.
 
-    ``theta`` may be a sampler state or a plain dict with keys ``z``
-    (list of per-category arrays), ``mu``, ``log_sd``, ``log_sigma``.
+    ``theta`` is a dict with keys ``z`` (one array per sampled category,
+    one value per level), ``mu`` and ``log_sd`` (one value per sampled
+    category) and ``log_sigma``; a level effect is mu + exp(log_sd) * z.
+    Raises DataError when theta has another shape.
     """
-    if isinstance(theta, dict):
-        theta = _State(
-            z=[np.asarray(v, dtype=float) for v in theta["z"]],
-            mu=np.asarray(theta["mu"], dtype=float),
-            log_sd=np.asarray(theta["log_sd"], dtype=float),
-            log_sigma=float(theta["log_sigma"]),
-        )
-    model = _Model(spec, _SuffStats(data, spec))
-    return model.log_posterior(theta)
+    cats = spec.sampled_categories
+    z = [np.asarray(v, dtype=float) for v in theta["z"]]
+    mu = np.asarray(theta["mu"], dtype=float)
+    log_sd = np.asarray(theta["log_sd"], dtype=float)
+    log_sigma = float(theta["log_sigma"])
+    if ([v.shape for v in z] != [(len(spec.level_sets[c]),) for c in cats]
+            or mu.shape != (len(cats),) or log_sd.shape != (len(cats),)):
+        raise DataError(f"theta needs one z value per level and one mu and "
+                        f"log_sd value per sampled category ({', '.join(cats)})")
+    st = _SuffStats(data, spec)
+
+    sigma = math.exp(log_sigma)
+    mu_keys = np.zeros(len(st.n))
+    for level, m, u, v in zip(st.levels, mu, log_sd, z):
+        mu_keys += (m + math.exp(u) * v)[level]
+    quad = float(np.sum(st.s2 - 2.0 * mu_keys * st.s1
+                        + st.n * mu_keys * mu_keys))
+    lp = (-0.5 * st.n_obs * LOG_2PI - st.n_obs * log_sigma
+          - 0.5 * quad / (sigma * sigma))
+    # z ~ Normal(0, 1)
+    for v in z:
+        lp += -0.5 * len(v) * LOG_2PI - 0.5 * float(v @ v)
+    # hyper-means ~ Normal(loc, scale)
+    resid = (mu - spec.hyper_mean_loc) / spec.hyper_mean_scale
+    lp += (-0.5 * len(mu) * LOG_2PI - len(mu) * math.log(spec.hyper_mean_scale)
+           - 0.5 * float(resid @ resid))
+    # category sds ~ Exponential(rate), sampled as log sd (Jacobian +u)
+    rate = spec.rate_category_sd
+    for u in log_sd:
+        lp += math.log(rate) - rate * math.exp(u) + u
+    # likelihood sd ~ Exponential(rate), log scale
+    lp += math.log(spec.rate_sigma) - spec.rate_sigma * sigma + log_sigma
+    return lp
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +577,9 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
     started = time.perf_counter()
     spec = model.spec
     ncat = len(model.cats)
-    state = _State(
-        z=[0.1 * rng.standard_normal(n) for n in model.sizes],
-        mu=np.full(ncat, spec.hyper_mean_loc),
-        log_sd=np.full(ncat, math.log(1.0 / spec.rate_category_sd)),
-        log_sigma=math.log(1.0 / spec.rate_sigma),
-    )
+    # The normals that once seeded a non-centered location start, drawn and
+    # discarded so that a seed keeps its draws (ROADMAP item 1).
+    rng.standard_normal(sum(model.sizes))
     location_s = 0.0
 
     def evaluate(log_sd, log_sigma):
@@ -608,7 +591,9 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
         finally:
             location_s += time.perf_counter() - called
 
-    system = evaluate(state.log_sd, state.log_sigma)
+    # The chain's state: its scales and the location system they factor.
+    system = evaluate(np.full(ncat, math.log(1.0 / spec.rate_category_sd)),
+                      math.log(1.0 / spec.rate_sigma))
     counts = {"evaluations": 1, "refused_states": 0, "nonfinite_states": 0}
 
     steps = {
@@ -616,7 +601,6 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
         "log_sigma": _StepSize(0.1),
     }
 
-    samples = np.empty((draws, _n_sampled_params(model)))
     swap_pairs = [(i, j) for i in range(ncat) for j in range(i + 1, ncat)]
     swaps = {pair: [0, 0] for pair in swap_pairs}  # proposed, accepted
 
@@ -646,19 +630,17 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
             step.update(a, adapting)
         return accepted
 
-    def iteration(adapting: bool):
+    def iteration(adapting: bool) -> np.ndarray:
         for _ in range(SCALE_SWEEPS):
             for ci in range(ncat):
                 step = steps["log_sd"][ci]
-                proposal = state.log_sd.copy()
+                proposal = np.array(system.log_sd)
                 proposal[ci] += step.value * rng.standard_normal()
-                if metropolis(step, proposal, state.log_sigma, adapting):
-                    state.log_sd = proposal
+                metropolis(step, proposal, system.log_sigma, adapting)
 
             step = steps["log_sigma"]
-            proposal = state.log_sigma + step.value * rng.standard_normal()
-            if metropolis(step, state.log_sd, proposal, adapting):
-                state.log_sigma = proposal
+            proposal = system.log_sigma + step.value * rng.standard_normal()
+            metropolis(step, system.log_sd, proposal, adapting)
 
             # Mode-swap move: the collapsed target can be multimodal in which
             # category carries a large sd (categories with similar level
@@ -668,22 +650,20 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
             # minor mode within an iteration instead of tens of them.
             if ncat >= 2:
                 pair = swap_pairs[rng.integers(len(swap_pairs))]
-                proposal = state.log_sd.copy()
+                proposal = np.array(system.log_sd)
                 proposal[list(pair)] = proposal[list(pair[::-1])]
                 swaps[pair][0] += 1
-                if metropolis(None, proposal, state.log_sigma, adapting):
-                    state.log_sd = proposal
+                if metropolis(None, proposal, system.log_sigma, adapting):
                     swaps[pair][1] += 1
 
-        # Location block: exact multivariate-normal Gibbs draw.
-        model.draw_locations(state, system, rng)
+        # Location block: exact multivariate-normal Gibbs draw.  Warmup
+        # makes it too, to keep the stream (ROADMAP item 1).
+        return model.draw_locations(system, rng)
 
     for _ in range(warmup):
         iteration(adapting=True)
     warmed_up = time.perf_counter()
-    for i in range(draws):
-        iteration(adapting=False)
-        samples[i] = _flatten(model, state)
+    samples = np.array([iteration(adapting=False) for _ in range(draws)])
 
     swap_proposed = sum(p for p, _ in swaps.values())
     swap_accepted = sum(a for _, a in swaps.values())
@@ -755,33 +735,15 @@ def _map_chains(task, chains: int) -> tuple[list, int]:
         return list(pool.map(_call_task, range(chains))), workers
 
 
-def _n_sampled_params(model: _Model) -> int:
-    return sum(model.sizes) + 2 * len(model.cats) + 1
-
-
 def param_names(spec: ModelSpec) -> list[str]:
     """Sampled parameter names, matching the stored draw column order."""
-    sampled = ["alpha", "beta", "gamma"] + (
-        ["delta"] if spec.device_effect_sampled else [])
     names = ["sigma"]
-    for cat in sampled:
+    for cat in spec.sampled_categories:
         names.extend(f"{cat}[{lv}]" for lv in spec.level_sets[cat])
-    for cat in sampled:
+    for cat in spec.sampled_categories:
         names.append(f"mu[{cat}]")
         names.append(f"sd[{cat}]")
     return names
-
-
-def _flatten(model: _Model, state: _State) -> np.ndarray:
-    """Centered-scale parameter vector matching sampled param_names order."""
-    out = [math.exp(state.log_sigma)]
-    for ci in range(len(model.cats)):
-        eff = state.mu[ci] + math.exp(state.log_sd[ci]) * state.z[ci]
-        out.extend(eff.tolist())
-    for ci in range(len(model.cats)):
-        out.append(state.mu[ci])
-        out.append(math.exp(state.log_sd[ci]))
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +827,8 @@ class PosteriorModel:
                     f"{len(draw_names)}) array, one column per name; got "
                     f"{draws.dtype} of shape {draws.shape}")
             draws = draws.astype(float, copy=False)
+            if not np.isfinite(draws).all():
+                raise DataError("model draws must be finite")
         model = cls(
             levels={k: list(v) for k, v in obj["levels"].items()},
             summaries={k: dict(v) for k, v in obj["summaries"].items()},
@@ -897,7 +861,7 @@ def _close(a: dict, b: dict, rtol: float = 1e-6) -> bool:
         if x is None or y is None:
             continue
         scale = max(abs(x), abs(y), 1e-300)
-        if abs(x - y) > rtol * scale:
+        if not abs(x - y) <= rtol * scale:  # NaN compares false: not close
             return False
     return True
 
@@ -1017,7 +981,7 @@ def prior_predictive(spec: ModelSpec, n: int, seed: int = 0) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     rng = np.random.default_rng(seed)
-    ncat = 4 if spec.device_effect_sampled else 3
+    ncat = len(spec.sampled_categories)
     hyper = rng.normal(spec.hyper_mean_loc, spec.hyper_mean_scale, size=(n, ncat))
     cat_sd = rng.exponential(1.0 / spec.rate_category_sd, size=(n, ncat))
     effects = rng.normal(hyper, cat_sd)

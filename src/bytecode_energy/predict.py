@@ -111,10 +111,6 @@ class ProgramManifest:
         return sum(self.entries.values())
 
     @classmethod
-    def from_counter(cls, counter: Counter) -> "ProgramManifest":
-        return cls(entries=dict(counter))
-
-    @classmethod
     def parse(cls, lines) -> "ProgramManifest":
         """Parse manifest lines of the form ``<count> <op>:<t>:<s>@<device>``."""
         entries: Counter = Counter()

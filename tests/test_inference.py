@@ -16,7 +16,6 @@ from bytecode_energy.inference import (
     _Model,
     _Refused,
     _run_chain,
-    _State,
     _SuffStats,
     fit,
     log_posterior,
@@ -132,6 +131,32 @@ def test_log_posterior_accepts_pattern_keys():
              "log_sd": [math.log(1e-3)] * 3, "log_sigma": math.log(1e-8)}
     assert log_posterior(theta, {key: [1e-8]}, spec) == log_posterior(
         theta, tuple_data, spec)
+
+
+def _toy_theta(**changes):
+    return {**TOY_THETA, **changes}
+
+
+SINGLE_DEVICE_SPEC = ModelSpec(sizes=("s",), operations=("o",), dtypes=("t",),
+                               devices=("d1",))
+
+
+@pytest.mark.parametrize("theta, spec", [
+    (_toy_theta(z=[[0.3, 0.2], [-0.2], [0.1], [0.5, -0.4]]), TOY_SPEC),
+    (_toy_theta(z=[[0.3], [-0.2], [0.1], [0.5]]), TOY_SPEC),
+    (_toy_theta(z=[[0.3], [-0.2], [0.1]]), TOY_SPEC),
+    (_toy_theta(z=[[[0.3]], [-0.2], [0.1], [0.5, -0.4]]), TOY_SPEC),
+    (_toy_theta(mu=TOY_THETA["mu"][:3]), TOY_SPEC),
+    (_toy_theta(mu=TOY_THETA["mu"] + [0.005]), TOY_SPEC),
+    (_toy_theta(log_sd=TOY_THETA["log_sd"][:3]), TOY_SPEC),
+    (TOY_THETA, SINGLE_DEVICE_SPEC),
+], ids=["extra_z", "short_z", "missing_z", "nested_z", "short_mu",
+        "long_mu", "short_log_sd", "delta_not_sampled"])
+def test_log_posterior_rejects_theta_of_wrong_shape(theta, spec):
+    data = {key: values for key, values in TOY_DATA.items()
+            if key[3] in spec.devices}
+    with pytest.raises(DataError, match="theta"):
+        log_posterior(theta, data, spec)
 
 
 def test_spec_from_keys_sorts_levels():
@@ -288,6 +313,9 @@ def test_load_rejects_tampered_summaries(recovery_fit, tmp_path):
     obj["summaries"][first]["mean"] *= 1.01
     with pytest.raises(DataError):
         PosteriorModel.from_json_dict(obj)
+    obj["summaries"][first]["mean"] = math.nan
+    with pytest.raises(DataError):
+        PosteriorModel.from_json_dict(obj)
 
 
 def _extra_name(draws):
@@ -314,9 +342,18 @@ def _one_chain(draws):
     draws["values"] = draws["values"][:1]
 
 
+def _nan_value(draws):
+    draws["values"][1][2][0] = math.nan
+
+
+def _inf_value(draws):
+    draws["values"][0][3][1] = -math.inf
+
+
 @pytest.mark.parametrize("corrupt", [_extra_name, _missing_name,
                                      _ragged_values, _text_value,
-                                     _two_dimensional, _one_chain])
+                                     _two_dimensional, _one_chain,
+                                     _nan_value, _inf_value])
 def test_diagnose_rejects_malformed_draws(recovery_fit, tmp_path, capsys,
                                           corrupt):
     _, _, _, model = recovery_fit
@@ -528,13 +565,19 @@ def test_location_draws_match_full_conditional(design):
     exact_sd = np.array([float(mpmath.sqrt(cov[i, i])) for i in range(dim)])
 
     rng = np.random.default_rng(4)
-    state = _State(z=[np.zeros(n) for n in model.sizes], mu=np.zeros(4),
-                   log_sd=np.log(sds), log_sigma=math.log(sigma))
+    scales = [math.exp(math.log(sigma))] + [math.exp(u) for u in np.log(sds)]
+    n_effects = sum(model.sizes)
     n = 4000
     draws = np.empty((n, dim))
     for i in range(n):
-        model.draw_locations(state, system, rng)
-        draws[i] = np.concatenate(state.z + [state.mu])
+        # A row is sigma, the level effects, then (hyper-mean, sd) pairs.
+        row = model.draw_locations(system, rng)
+        assert row[[0, *range(n_effects + 2, len(row), 2)]].tolist() == scales
+        effects = np.split(row[1:1 + n_effects], np.cumsum(model.sizes)[:-1])
+        hyper, sd = row[1 + n_effects::2], row[2 + n_effects::2]
+        # Back to the oracle's coordinates: z = (effect - hyper-mean) / sd.
+        z = [(e - m) / s for e, m, s in zip(effects, hyper, sd)]
+        draws[i] = np.concatenate(z + [hyper])
     standardized = (draws - exact_mean) / exact_sd
     assert np.all(np.abs(standardized.mean(axis=0)) < 5 / math.sqrt(n))
     assert np.all(np.abs(standardized.var(axis=0) - 1.0) < 0.15)
