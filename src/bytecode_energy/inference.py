@@ -855,11 +855,11 @@ class PosteriorModel:
             return cls.from_json_dict(json.load(fh))
 
 
-def _close(a: dict, b: dict, rtol: float = 1e-6) -> bool:
+def _close(stored: dict, recomputed: dict, rtol: float = 1e-6) -> bool:
     for field_name in ("mean", "sd", "mcse", "ess", "rhat"):
-        x, y = a.get(field_name), b.get(field_name)
-        if x is None or y is None:
-            continue
+        x, y = stored.get(field_name), recomputed[field_name]
+        if x is None:  # a stored None would hide the parameter from the gate
+            return False
         scale = max(abs(x), abs(y), 1e-300)
         if not abs(x - y) <= rtol * scale:  # NaN compares false: not close
             return False

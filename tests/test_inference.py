@@ -1,5 +1,6 @@
 """Model density oracles, sampler behavior, and posterior containers."""
 
+import copy
 import json
 import math
 import warnings
@@ -308,13 +309,18 @@ def test_save_load_round_trip(recovery_fit, tmp_path):
 
 def test_load_rejects_tampered_summaries(recovery_fit, tmp_path):
     _, _, _, model = recovery_fit
-    obj = model.to_json_dict()
+    obj = copy.deepcopy(model.to_json_dict())  # leave the fixture intact
     first = next(iter(obj["summaries"]))
     obj["summaries"][first]["mean"] *= 1.01
     with pytest.raises(DataError):
         PosteriorModel.from_json_dict(obj)
     obj["summaries"][first]["mean"] = math.nan
     with pytest.raises(DataError):
+        PosteriorModel.from_json_dict(obj)
+    obj = copy.deepcopy(model.to_json_dict())
+    obj["summaries"]["sigma"] = dict.fromkeys(obj["summaries"]["sigma"])
+    with pytest.raises(DataError, match="stored summary for sigma does not "
+                                        "match its draws"):
         PosteriorModel.from_json_dict(obj)
 
 
