@@ -15,7 +15,7 @@ import warnings
 from importlib import resources
 
 from . import catalog, diagnostics, inference, predict, simulate
-from .errors import BytecodeEnergyError
+from .errors import BytecodeEnergyError, DomainError
 from .ingest import load_measurements, write_measurements
 
 BUNDLED_MODEL = "appendix_a"
@@ -141,11 +141,19 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _parse_quantiles(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(q) for q in text.split(","))
+    except ValueError:
+        raise DomainError("--quantiles must be comma-separated numbers, "
+                          f"got {text!r}") from None
+
+
 def cmd_predict(args) -> int:
+    quantiles = _parse_quantiles(args.quantiles)
     model = load_model(args.model)
     with open(args.program, encoding="utf-8") as fh:
         manifest = predict.ProgramManifest.parse(fh)
-    quantiles = tuple(float(q) for q in args.quantiles.split(","))
     result = predict.predict_program(model, manifest, quantiles)
     if args.json:
         json.dump(result.to_json_dict(), sys.stdout, indent=1)

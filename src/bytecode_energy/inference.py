@@ -45,6 +45,7 @@ platform cannot fork.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -779,14 +780,25 @@ class PosteriorModel:
 
     def mu_draws(self, key) -> np.ndarray | None:
         """Flattened posterior draws of the key's mean, if draws are stored."""
+        return self.weighted_mu_draws({key: 1})
+
+    def weighted_mu_draws(self, counts: dict) -> np.ndarray | None:
+        """Flattened posterior draws of sum(count * key mean) over ``counts``.
+
+        One mat-vec of the draw columns the keys use with their total
+        counts; None if no draws are stored.  Effects without a column (an
+        unsampled delta) are fixed at zero.
+        """
         if not self.has_draws():
             return None
-        names = self._effect_names(key)
-        idx = [self.draw_names.index(n) for n in names if n in self.draw_names]
-        total = np.zeros(self.draws.shape[0] * self.draws.shape[1])
-        for i in idx:
-            total += self.draws[:, :, i].reshape(-1)
-        return total
+        column = {name: j for j, name in enumerate(self.draw_names)}
+        weights = np.zeros(len(column))
+        for key, count in counts.items():
+            for name in self._effect_names(key):
+                if name in column:
+                    weights[column[name]] += count
+        used = np.flatnonzero(weights)  # a key uses 4 of the 82 columns
+        return self.draws.reshape(-1, len(weights))[:, used] @ weights[used]
 
     def convergence_failures(self) -> list[str]:
         """Parameters that fail a gate of the diagnostics report."""
@@ -794,25 +806,45 @@ class PosteriorModel:
                 if not p.passed]
 
     def to_json_dict(self, include_draws: bool = True) -> dict:
+        """The model as plain JSON data; it shares nothing with the model."""
         obj = {
             "levels": {k: list(v) for k, v in self.levels.items()},
-            "summaries": self.summaries,
-            "meta": self.meta,
+            "summaries": {k: dict(v) for k, v in self.summaries.items()},
+            "meta": copy.deepcopy(self.meta),
         }
         if include_draws and self.has_draws():
             obj["draws"] = {
-                "names": self.draw_names,
+                "names": list(self.draw_names),
                 "values": self.draws.tolist(),
             }
         return obj
 
     def save(self, path, include_draws: bool = True) -> None:
+        """Write ``to_json_dict(include_draws)`` as JSON, one draw row a line.
+
+        ``json.dump`` always runs the pure-Python encoder; only a plain
+        ``json.dumps`` runs the C one.  So each draw row is one
+        ``json.dumps`` call, which spells floats, NaN and Infinity as
+        ``json.dump`` does.  Rows are converted one chain at a time; the
+        document is never built as one string.
+        """
+        header = json.dumps(self.to_json_dict(include_draws=False), indent=1)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(include_draws), fh, indent=1)
-            fh.write("\n")
+            if not (include_draws and self.has_draws()):
+                fh.write(header + "\n")
+                return
+            fh.write(header[:-len("\n}")])
+            fh.write(',\n "draws": {\n  "names": '
+                     f'{json.dumps(self.draw_names)},\n  "values": [\n')
+            for c, chain in enumerate(self.draws):
+                fh.write(",\n[" if c else "[")
+                fh.write(",\n".join(map(json.dumps, chain.tolist())))
+                fh.write("]")
+            fh.write("\n  ]\n }\n}\n")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PosteriorModel":
+        _check_model_json(obj)
         draws = draw_names = None
         if obj.get("draws"):
             draw_names = list(obj["draws"]["names"])
@@ -847,18 +879,69 @@ class PosteriorModel:
                     raise DataError(
                         f"stored summary for {name} does not match its draws"
                     )
+        for name, s in model.summaries.items():
+            for field_name in SUMMARY_FIELDS:
+                x = s.get(field_name)
+                required = field_name in ("mean", "sd")  # predict reads them
+                if not (_is_number(x) or (x is None and not required)):
+                    raise DataError(
+                        f"stored summary for {name}: {field_name} must be a "
+                        f"number{'' if required else ' or null'}, got {x!r}")
         return model
 
     @classmethod
     def load(cls, path) -> "PosteriorModel":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DataError(f"{path} is not a JSON model file: {exc}") \
+                    from None
+        return cls.from_json_dict(obj)
+
+
+SUMMARY_FIELDS = ("mean", "sd", "mcse", "ess", "rhat")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_name_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _check_model_json(obj) -> None:
+    """Raise DataError unless ``obj`` has the layout to_json_dict writes.
+
+    This checks the containers only; from_json_dict checks the draws, the
+    summary values and their agreement after it.
+    """
+    problem = None
+    if not isinstance(obj, dict):
+        problem = "must be a JSON object"
+    elif not (isinstance(obj.get("levels"), dict)
+              and all(map(_is_name_list, obj["levels"].values()))):
+        problem = '"levels" must map each category to a list of level names'
+    elif not (isinstance(obj.get("summaries"), dict)
+              and all(isinstance(s, dict)
+                      for s in obj["summaries"].values())):
+        problem = '"summaries" must map each parameter to an object'
+    elif not isinstance(obj.get("meta", {}), dict):
+        problem = '"meta" must be an object'
+    elif obj.get("draws") and not (isinstance(obj["draws"], dict)
+                                   and _is_name_list(obj["draws"].get("names"))
+                                   and "values" in obj["draws"]):
+        problem = ('"draws" must hold "names", a list of parameter names, '
+                   'and "values"')
+    if problem is not None:
+        raise DataError(f"model file: {problem}")
 
 
 def _close(stored: dict, recomputed: dict, rtol: float = 1e-6) -> bool:
-    for field_name in ("mean", "sd", "mcse", "ess", "rhat"):
+    for field_name in SUMMARY_FIELDS:
         x, y = stored.get(field_name), recomputed[field_name]
-        if x is None:  # a stored None would hide the parameter from the gate
+        if not _is_number(x):  # a stored None would hide it from the gate
             return False
         scale = max(abs(x), abs(y), 1e-300)
         if not abs(x - y) <= rtol * scale:  # NaN compares false: not close

@@ -179,8 +179,7 @@ def predict_program(
     if model.has_draws():
         # Parameter uncertainty including cross-statement covariance:
         # Var(sum_k c_k * mu_k) over posterior draws.
-        mu_matrix = np.stack([model.mu_draws(k) for k in keys])
-        weighted = np.asarray(counts, dtype=float) @ mu_matrix
+        weighted = model.weighted_mu_draws(manifest.entries)
         var += float(weighted.var(ddof=1))
 
     dist = GaussianDist(mean, math.sqrt(var))

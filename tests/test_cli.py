@@ -214,6 +214,41 @@ def test_diagnose_missing_file_exits_1(workdir):
     assert cli.main(["diagnose", str(workdir / "missing.json")]) == 1
 
 
+def _assert_error_exit(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _not_json(obj):
+    return json.dumps(obj)[:-1]
+
+
+def _no_levels(obj):
+    del obj["levels"]
+    return json.dumps(obj)
+
+
+def _text_mean(obj):
+    obj["summaries"]["sigma"]["mean"] = "abc"
+    return json.dumps(obj)
+
+
+def _text_mean_summary_only(obj):
+    del obj["draws"]
+    return _text_mean(obj)
+
+
+@pytest.mark.parametrize("corrupt", [_not_json, _no_levels, _text_mean,
+                                     _text_mean_summary_only])
+def test_diagnose_bad_model_file_exits_1(fitted_model, workdir, capsys,
+                                         corrupt):
+    obj = json.loads(fitted_model.read_text(encoding="utf-8"))
+    path = workdir / f"bad{corrupt.__name__}.json"
+    path.write_text(corrupt(obj), encoding="utf-8")
+    _assert_error_exit(["diagnose", str(path)], capsys)
+
+
 def test_predict_bundled_cross_module_consistency(workdir, bundled_model,
                                                   capsys):
     manifest = workdir / "program.txt"
@@ -239,6 +274,16 @@ def test_predict_median_quantile_equals_mean(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["quantiles_j"]["0.5"] == pytest.approx(payload["mean_j"],
                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("quantiles", ["0.5,abc", "0.5,,0.9"])
+def test_predict_non_numeric_quantiles_exit_1(workdir, capsys, quantiles):
+    manifest = workdir / "program.txt"
+    manifest.write_text("1 variable_declaration:long:constant@device2\n",
+                        encoding="utf-8")
+    _assert_error_exit(["predict", "--model", cli.BUNDLED_MODEL,
+                        "--program", str(manifest), "--quantiles",
+                        quantiles], capsys)
 
 
 def test_predict_with_fitted_model(fitted_model, workdir, capsys):

@@ -294,17 +294,78 @@ def test_mu_draws_mean_matches_summary_sum(recovery_fit):
     assert math.isclose(draws.mean(), model.mean_mu(key), rel_tol=1e-9)
 
 
+def _assert_round_trip(model, path, include_draws=True) -> PosteriorModel:
+    """Save ``model``; its file must parse to exactly its JSON and reload."""
+    model.save(path, include_draws=include_draws)
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == json.loads(
+            json.dumps(model.to_json_dict(include_draws)))
+    loaded = PosteriorModel.load(path)
+    assert loaded.summaries == model.summaries
+    assert loaded.meta == model.meta
+    if include_draws:
+        assert loaded.draw_names == model.draw_names
+        assert np.array_equal(loaded.draws, model.draws)
+    else:
+        assert not loaded.has_draws()
+    return loaded
+
+
 def test_save_load_round_trip(recovery_fit, tmp_path):
     _, _, _, model = recovery_fit
     path = tmp_path / "model.json"
-    model.save(path)
+    _assert_round_trip(model, path)
+    # One line per draw row, after the header and before the closing lines.
+    rows = path.read_text(encoding="utf-8").split('"values": [\n')[1]
+    assert len(rows.splitlines()[:-3]) == 4 * 1000
+
+
+def test_load_reads_the_indented_layout(recovery_fit, tmp_path):
+    _, _, _, model = recovery_fit
+    path = tmp_path / "indented.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model.to_json_dict(), fh, indent=1)
     loaded = PosteriorModel.load(path)
-    assert loaded.summaries.keys() == model.summaries.keys()
-    for name in model.summaries:
-        for field in ("mean", "sd", "mcse", "ess", "rhat"):
-            assert loaded.summaries[name][field] == pytest.approx(
-                model.summaries[name][field], rel=1e-12)
-    assert np.allclose(loaded.draws, model.draws)
+    assert loaded.summaries == model.summaries
+    assert np.array_equal(loaded.draws, model.draws)
+
+
+def _small_model() -> PosteriorModel:
+    draws = np.random.default_rng(3).normal(1.0, 0.1, size=(2, 10, 2))
+    names = ["sigma", "alpha[s]"]
+    return PosteriorModel(
+        levels={"alpha": ["s"], "beta": ["o"], "gamma": ["t"],
+                "delta": ["d"]},
+        summaries=inference.summarize_draws(draws, names),
+        meta={"chains": 2, "draws_per_chain": 10,
+              "trace": [{"seconds": 0.5}, {"seconds": 0.25}]},
+        draw_names=names, draws=draws)
+
+
+def test_to_json_dict_shares_nothing_with_the_model():
+    model = _small_model()
+    before = json.loads(json.dumps(model.to_json_dict()))
+    obj = model.to_json_dict()
+    obj["levels"]["alpha"].append("x")
+    obj["summaries"]["sigma"]["mean"] = "abc"
+    obj["meta"]["chains"] = 99
+    obj["meta"]["trace"][0]["seconds"] = -1.0
+    obj["draws"]["names"].append("x")
+    assert model.to_json_dict() == before
+
+
+def test_saved_non_finite_draws_fail_the_load(tmp_path, capsys):
+    model = _small_model()
+    model.draws[1, 2, 0] = math.nan
+    model.draws[0, 3, 1] = -math.inf
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert json.loads(path.read_text(encoding="utf-8"))["draws"]["values"][
+        0][3][1] == -math.inf
+    assert cli.main(["diagnose", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model draws must be finite")
+    assert "Traceback" not in err
 
 
 def test_load_rejects_tampered_summaries(recovery_fit, tmp_path):
@@ -374,14 +435,12 @@ def test_diagnose_rejects_malformed_draws(recovery_fit, tmp_path, capsys,
 
 def test_summary_only_model_has_no_draws(recovery_fit, tmp_path):
     _, _, _, model = recovery_fit
-    path = tmp_path / "summary.json"
-    model.save(path, include_draws=False)
-    loaded = PosteriorModel.load(path)
-    assert not loaded.has_draws()
+    loaded = _assert_round_trip(model, tmp_path / "summary.json",
+                                include_draws=False)
     assert loaded.mu_draws(("s0", "o0", "t0", "device1")) is None
 
 
-def test_single_device_fixes_device_effect_at_zero():
+def test_single_device_fixes_device_effect_at_zero(tmp_path):
     data, _, _ = synthetic_crossed_dataset(seed=7, n_sizes=2, n_ops=3,
                                            n_types=2, devices=("device1",),
                                            obs_per_key=20)
@@ -397,6 +456,9 @@ def test_single_device_fixes_device_effect_at_zero():
         model.summaries["alpha[s0]"]["mean"]
         + model.summaries["beta[o0]"]["mean"]
         + model.summaries["gamma[t0]"]["mean"])
+    # The unsampled delta row's null ESS and R-hat survive a save.
+    loaded = _assert_round_trip(model, tmp_path / "model.json")
+    assert loaded.summaries["delta[device1]"]["ess"] is None
 
 
 def test_prior_predictive_moments():
