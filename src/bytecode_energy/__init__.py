@@ -13,7 +13,6 @@ from .inference import (
     PosteriorModel,
     fit,
     log_posterior,
-    posterior_mean_mu,
     prior_predictive,
 )
 from .ingest import (
@@ -32,7 +31,7 @@ from .predict import (
     predict_program,
     statement_dist,
 )
-from .simulate import GroundTruth, shuffle_schedule, simulate_study
+from .simulate import GroundTruth, simulate_study
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "PosteriorModel",
     "fit",
     "log_posterior",
-    "posterior_mean_mu",
     "prior_predictive",
     "MeasurementDataset",
     "MeasurementRecord",
@@ -65,6 +63,5 @@ __all__ = [
     "predict_program",
     "statement_dist",
     "GroundTruth",
-    "shuffle_schedule",
     "simulate_study",
 ]

@@ -15,7 +15,7 @@ import warnings
 from importlib import resources
 
 from . import catalog, diagnostics, inference, predict, simulate
-from .errors import BytecodeEnergyError, DomainError
+from .errors import BytecodeEnergyError, DataError, DomainError
 from .ingest import load_measurements, write_measurements
 
 BUNDLED_MODEL = "appendix_a"
@@ -92,7 +92,12 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     with open(args.truth, encoding="utf-8") as fh:
-        truth = simulate.GroundTruth.from_json_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{args.truth} is not a JSON truth file: {exc}") \
+                from None
+    truth = simulate.GroundTruth.from_json_dict(obj)
     if args.seed is not None:
         truth.seed = args.seed
     samples = simulate.simulate_study(
@@ -152,8 +157,7 @@ def _parse_quantiles(text: str) -> tuple[float, ...]:
 def cmd_predict(args) -> int:
     quantiles = _parse_quantiles(args.quantiles)
     model = load_model(args.model)
-    with open(args.program, encoding="utf-8") as fh:
-        manifest = predict.ProgramManifest.parse(fh)
+    manifest = predict.ProgramManifest.parse(_read_lines(args.program))
     result = predict.predict_program(model, manifest, quantiles)
     if args.json:
         json.dump(result.to_json_dict(), sys.stdout, indent=1)
@@ -193,10 +197,15 @@ def cmd_prior_check(args) -> int:
 
 
 def _read_lines(path):
-    if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    """The lines of a UTF-8 text file, or of stdin for '-'."""
+    try:
+        if path == "-":
+            return sys.stdin.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise DataError(f"{name} is not UTF-8 text: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ can therefore differ slightly from rank-normalizing toolchains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -108,7 +108,6 @@ class ParameterDiagnostics:
 @dataclass
 class DiagnosticsReport:
     parameters: list[ParameterDiagnostics]
-    misfits: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:

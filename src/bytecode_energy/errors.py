@@ -49,9 +49,5 @@ class DegenerateChains(BytecodeEnergyError):
     """Chain draws have zero total variance; diagnostics are undefined."""
 
 
-class CovarianceDimensionMismatch(BytecodeEnergyError):
-    """Covariance matrix shape does not match the distribution count."""
-
-
 class EmptyManifest(BytecodeEnergyError):
     """A program manifest contains no statements."""

@@ -61,11 +61,19 @@ import numpy as np
 from . import catalog as _catalog
 from . import diagnostics
 from .catalog import PatternKey
-from .errors import DataError, UnknownLevel
+from .errors import DataError, DomainError, UnknownLevel
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 CATEGORY_NAMES = ("alpha", "beta", "gamma", "delta")
+
+# The paper's fixed priors, in joules: hyper-means ~ Normal(HYPER_MEAN_LOC,
+# HYPER_MEAN_SCALE), category sds ~ Exponential(RATE_CATEGORY_SD) and the
+# likelihood sd ~ Exponential(RATE_SIGMA).
+HYPER_MEAN_LOC = 0.006
+HYPER_MEAN_SCALE = 0.001
+RATE_CATEGORY_SD = 1e3
+RATE_SIGMA = 1e3
 
 
 class NonConvergenceWarning(UserWarning):
@@ -79,20 +87,14 @@ class _Refused(DataError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Level sets of the four categories plus prior hyperparameters."""
+    """Level sets of the four categories."""
 
     sizes: tuple[str, ...]
     operations: tuple[str, ...]
     dtypes: tuple[str, ...]
     devices: tuple[str, ...]
-    hyper_mean_loc: float = 0.006
-    hyper_mean_scale: float = 0.001
-    rate_sigma: float = 1e3
-    rate_category_sd: float = 1e3
 
     def __post_init__(self):
-        if not (self.rate_sigma > 0 and self.rate_category_sd > 0):
-            raise DataError("prior rates must be positive")
         for levels in (self.sizes, self.operations, self.dtypes, self.devices):
             if not levels:
                 raise DataError("every category needs at least one level")
@@ -118,25 +120,23 @@ class ModelSpec:
         return CATEGORY_NAMES[:4 if self.device_effect_sampled else 3]
 
     @classmethod
-    def from_keys(cls, keys, **prior_kwargs) -> "ModelSpec":
+    def from_keys(cls, keys) -> "ModelSpec":
         keys = [_as_levels(k) for k in keys]
         return cls(
             sizes=tuple(sorted({k[0] for k in keys})),
             operations=tuple(sorted({k[1] for k in keys})),
             dtypes=tuple(sorted({k[2] for k in keys})),
             devices=tuple(sorted({k[3] for k in keys})),
-            **prior_kwargs,
         )
 
     @classmethod
-    def from_catalog(cls, devices, **prior_kwargs) -> "ModelSpec":
+    def from_catalog(cls, devices) -> "ModelSpec":
         triples = _catalog.list_catalog()
         return cls(
             sizes=tuple(sorted({t.dsize for t in triples})),
             operations=tuple(sorted({t.operation for t in triples})),
             dtypes=tuple(sorted({t.dtype for t in triples})),
             devices=tuple(sorted(devices)),
-            **prior_kwargs,
         )
 
 
@@ -207,7 +207,6 @@ class _Model:
     """Bound model: spec + data, evaluating the joint log density."""
 
     def __init__(self, spec: ModelSpec, stats: _SuffStats):
-        self.spec = spec
         self.stats = stats
         self.cats = spec.sampled_categories
         self.sizes = [len(spec.level_sets[c]) for c in self.cats]
@@ -285,7 +284,7 @@ class _Model:
         self._moment_dense = moment[:nd]
         self._moment_diag = moment[nd:]
         self._prior_mean = np.zeros(nd)
-        self._prior_mean[0] = ncat * spec.hyper_mean_loc
+        self._prior_mean[0] = ncat * HYPER_MEAN_LOC
         # Factored coordinates to every category's level contrasts.
         level_cat = np.repeat(np.arange(ncat), self.sizes)
         levels = np.zeros((len(level_cat), len(group) - 1))
@@ -329,7 +328,6 @@ class _Model:
         eliminate the unidentified directions exactly, and DataError when M
         cannot be factorized or the density is not finite.
         """
-        spec = self.spec
         st = self.stats
         # Scales beyond exp(+-150) carry no posterior mass for any data in
         # joules, and their squares and ratios would overflow.
@@ -342,7 +340,7 @@ class _Model:
         # Prior variances, as floats: of each category's contrasts (sd^2)
         # and level mean, and of the intercept g (the level means' sum).
         sd2 = [math.exp(2.0 * u) for u in log_sd]
-        level_var = [spec.hyper_mean_scale ** 2 + v / n
+        level_var = [HYPER_MEAN_SCALE ** 2 + v / n
                      for v, n in zip(sd2, self.sizes)]
         group_var = [sum(level_var)] + sd2
         inv_group = np.array([1.0 / v for v in group_var])
@@ -415,11 +413,10 @@ class _Model:
         )
         # Scale priors: Exponential(rate) with the log-parameterization
         # Jacobian (+u per log scale).
-        rate = spec.rate_category_sd
         for u in log_sd:
-            collapsed += math.log(rate) - rate * math.exp(u) + u
-        collapsed += (math.log(spec.rate_sigma)
-                      - spec.rate_sigma * sigma + log_sigma)
+            collapsed += (math.log(RATE_CATEGORY_SD)
+                          - RATE_CATEGORY_SD * math.exp(u) + u)
+        collapsed += math.log(RATE_SIGMA) - RATE_SIGMA * sigma + log_sigma
         if not math.isfinite(collapsed):
             raise DataError("collapsed density is not finite")
         return _LocationSystem(log_sd, log_sigma, sigma, sd2, level_var, chol,
@@ -438,7 +435,6 @@ class _Model:
         plus its contrast), and each category's hyper-mean and sd, the
         scales being those of the system.
         """
-        spec = self.spec
         nd = len(system.chol)
         standard = rng.standard_normal(len(system.mean))
         dense = system.sigma * np.linalg.solve(system.chol.T, standard[:nd])
@@ -456,13 +452,13 @@ class _Model:
         level_var = np.array(system.level_var)
         # Level means given their sum g: independent Normal(loc, level_var)
         # conditioned on the total.
-        level_mean = (spec.hyper_mean_loc + np.sqrt(level_var)
+        level_mean = (HYPER_MEAN_LOC + np.sqrt(level_var)
                       * rng.standard_normal(len(self.cats)))
         level_mean += level_var / level_var.sum() * (w[0] - level_mean.sum())
         # Offset of each level mean from its hyper-mean, given the level mean.
         share = sd2 / self.sizes / level_var
-        offset = ((level_mean - spec.hyper_mean_loc) * share
-                  + spec.hyper_mean_scale * np.sqrt(share)
+        offset = ((level_mean - HYPER_MEAN_LOC) * share
+                  + HYPER_MEAN_SCALE * np.sqrt(share)
                   * rng.standard_normal(len(self.cats)))
         effects = np.repeat(level_mean, self.sizes) + self._to_levels @ w
         sd = [math.exp(u) for u in system.log_sd]
@@ -518,15 +514,15 @@ def log_posterior(theta: dict, data: dict, spec: ModelSpec) -> float:
     for v in z:
         lp += -0.5 * len(v) * LOG_2PI - 0.5 * float(v @ v)
     # hyper-means ~ Normal(loc, scale)
-    resid = (mu - spec.hyper_mean_loc) / spec.hyper_mean_scale
-    lp += (-0.5 * len(mu) * LOG_2PI - len(mu) * math.log(spec.hyper_mean_scale)
+    resid = (mu - HYPER_MEAN_LOC) / HYPER_MEAN_SCALE
+    lp += (-0.5 * len(mu) * LOG_2PI - len(mu) * math.log(HYPER_MEAN_SCALE)
            - 0.5 * float(resid @ resid))
     # category sds ~ Exponential(rate), sampled as log sd (Jacobian +u)
-    rate = spec.rate_category_sd
     for u in log_sd:
-        lp += math.log(rate) - rate * math.exp(u) + u
+        lp += (math.log(RATE_CATEGORY_SD) - RATE_CATEGORY_SD * math.exp(u)
+               + u)
     # likelihood sd ~ Exponential(rate), log scale
-    lp += math.log(spec.rate_sigma) - spec.rate_sigma * sigma + log_sigma
+    lp += math.log(RATE_SIGMA) - RATE_SIGMA * sigma + log_sigma
     return lp
 
 
@@ -576,7 +572,6 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
     swaps proposed and accepted per category pair.
     """
     started = time.perf_counter()
-    spec = model.spec
     ncat = len(model.cats)
     # The normals that once seeded a non-centered location start, drawn and
     # discarded so that a seed keeps its draws (ROADMAP item 1).
@@ -593,8 +588,8 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
             location_s += time.perf_counter() - called
 
     # The chain's state: its scales and the location system they factor.
-    system = evaluate(np.full(ncat, math.log(1.0 / spec.rate_category_sd)),
-                      math.log(1.0 / spec.rate_sigma))
+    system = evaluate(np.full(ncat, math.log(1.0 / RATE_CATEGORY_SD)),
+                      math.log(1.0 / RATE_SIGMA))
     counts = {"evaluations": 1, "refused_states": 0, "nonfinite_states": 0}
 
     steps = {
@@ -1061,17 +1056,14 @@ def prior_predictive(spec: ModelSpec, n: int, seed: int = 0) -> np.ndarray:
     (a uniformly random legal pattern, by prior exchangeability of levels),
     then an observation from the likelihood.
     """
+    if n < 0:
+        raise DomainError(f"n must be >= 0 draws, got {n}")
     if n == 0:
         return np.empty(0)
     rng = np.random.default_rng(seed)
     ncat = len(spec.sampled_categories)
-    hyper = rng.normal(spec.hyper_mean_loc, spec.hyper_mean_scale, size=(n, ncat))
-    cat_sd = rng.exponential(1.0 / spec.rate_category_sd, size=(n, ncat))
+    hyper = rng.normal(HYPER_MEAN_LOC, HYPER_MEAN_SCALE, size=(n, ncat))
+    cat_sd = rng.exponential(1.0 / RATE_CATEGORY_SD, size=(n, ncat))
     effects = rng.normal(hyper, cat_sd)
-    sigma = rng.exponential(1.0 / spec.rate_sigma, size=n)
+    sigma = rng.exponential(1.0 / RATE_SIGMA, size=n)
     return rng.normal(effects.sum(axis=1), sigma)
-
-
-def posterior_mean_mu(model: PosteriorModel, key) -> float:
-    """Posterior mean of the linear predictor for one pattern key."""
-    return model.mean_mu(key)

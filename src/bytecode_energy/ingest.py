@@ -30,6 +30,7 @@ from . import catalog
 from .catalog import PatternKey, PatternTriple
 from .errors import (
     BytecodeEnergyError,
+    DataError,
     DomainError,
     IllegalTriple,
     MissingBaseline,
@@ -153,8 +154,6 @@ class _Records(Sequence):
         return len(self.energies)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
         key, device, corrected = self.groups[self.codes[i]]
         return MeasurementRecord(key, device, float(self.energies[i]),
                                  corrected)
@@ -207,12 +206,6 @@ class MeasurementDataset:
         order = np.argsort(slot, kind="stable")
         ends = np.cumsum(np.bincount(slot, minlength=len(slots)))
         return dict(zip(slots, np.split(rec.energies[order], ends[:-1])))
-
-    def counts(self) -> dict[PatternKey, int]:
-        return {k: len(v) for k, v in self.by_key().items()}
-
-    def devices(self) -> list[str]:
-        return sorted({device for _, device, _ in self.records.groups})
 
 
 def _parse_pattern(pattern_field: str, device_field: str, rownum: int
@@ -355,16 +348,19 @@ def load_measurements(path) -> MeasurementDataset:
     codes = _GroupCodes()
     code_chunks = [np.empty(0, dtype=np.intp)]
     energy_chunks = [np.empty(0, dtype=float)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != CSV_HEADER:
-            raise SchemaError(0, f"header must be {','.join(CSV_HEADER)}")
-        for rows, line_nums in _chunks(reader):
-            columns = _convert_chunk(rows, codes)
-            if columns is None:
-                columns = _reparse_chunk(rows, line_nums, codes)
-            code_chunks.append(columns[0])
-            energy_chunks.append(columns[1])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != CSV_HEADER:
+                raise SchemaError(0, f"header must be {','.join(CSV_HEADER)}")
+            for rows, line_nums in _chunks(reader):
+                columns = _convert_chunk(rows, codes)
+                if columns is None:
+                    columns = _reparse_chunk(rows, line_nums, codes)
+                code_chunks.append(columns[0])
+                energy_chunks.append(columns[1])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     code = np.concatenate(code_chunks)
     energy = np.concatenate(energy_chunks)
 

@@ -3,7 +3,8 @@
 A fitted model gives every statement a Normal(mean, sd) energy distribution;
 a program is a multiset of statements whose distributions are convolved into
 one Gaussian.  Sums of Gaussians stay Gaussian: means add, variances add,
-plus twice the pairwise covariances when a covariance source is supplied.
+plus twice the pairwise covariances, which predict_program takes from the
+model's posterior draws when it stores them.
 Worst-case consumption is reported as an upper quantile of the resulting
 distribution, never as a point maximum.
 """
@@ -13,17 +14,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from statistics import NormalDist
 
 from .catalog import PatternKey, PatternTriple, is_legal
-from .errors import (
-    CovarianceDimensionMismatch,
-    DomainError,
-    EmptyManifest,
-    UnknownPattern,
-)
-from statistics import NormalDist
+from .errors import DomainError, EmptyManifest, UnknownPattern
 
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
@@ -46,9 +40,6 @@ class GaussianDist:
             raise DomainError("degenerate distribution (sd = 0)")
         return NormalDist(self.mean, self.sd)
 
-    def pdf(self, x: float) -> float:
-        return self._dist().pdf(x)
-
     def cdf(self, x: float) -> float:
         return self._dist().cdf(x)
 
@@ -57,37 +48,14 @@ class GaussianDist:
             raise DomainError(f"quantile probability must be in (0,1), got {p}")
         return self._dist().inv_cdf(p)
 
-    def entropy(self) -> float:
-        if self.sd <= 0:
-            raise DomainError("entropy undefined for sd = 0")
-        return 0.5 * math.log(2.0 * math.pi * math.e * self.sd ** 2)
 
-    @property
-    def mode(self) -> float:
-        return self.mean
-
-
-def convolve(dists, cov=None) -> GaussianDist:
-    """Sum of Gaussians: mean = sum of means, var = sum of vars (+2*cov).
-
-    ``cov`` is an optional n-by-n pairwise covariance matrix; its diagonal
-    is ignored (variances come from the distributions themselves).
-    """
+def convolve(dists) -> GaussianDist:
+    """Sum of independent Gaussians: means add and variances add."""
     dists = list(dists)
     if not dists:
         raise DomainError("cannot convolve an empty distribution list")
     mean = sum(d.mean for d in dists)
     var = sum(d.sd ** 2 for d in dists)
-    if cov is not None:
-        cov = np.asarray(cov, dtype=float)
-        n = len(dists)
-        if cov.shape != (n, n):
-            raise CovarianceDimensionMismatch(
-                f"covariance shape {cov.shape} does not match {n} distributions"
-            )
-        var += 2.0 * float(np.triu(cov, k=1).sum())
-    if var < 0:
-        raise DomainError(f"negative total variance {var}")
     return GaussianDist(mean, math.sqrt(var))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import PatternKey
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .ingest import RawSample
 
 SUPPLY_VOLTAGE = 5.6          # volts, constant-voltage supply
@@ -62,16 +62,48 @@ class GroundTruth:
         return keys
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "GroundTruth":
+    def from_json_dict(cls, obj) -> "GroundTruth":
+        """Build a truth from a decoded truth file.
+
+        Raises DataError naming the first missing or ill-typed field.
+        """
+        if not isinstance(obj, dict):
+            raise DataError("truth file: must be a JSON object")
+        level_map = "an object mapping each level name to a number"
+        for name, default, valid, kind in (
+            ("alpha", None, _is_level_map, level_map),
+            ("beta", None, _is_level_map, level_map),
+            ("gamma", None, _is_level_map, level_map),
+            ("delta", None, _is_level_map, level_map),
+            ("sigma", None, _is_number, "a number"),
+            ("seed", 0, _is_integer, "an integer"),
+            ("baseline_energy", 0.0, _is_number, "a number"),
+        ):
+            value = obj.get(name, default)
+            if not valid(value):
+                raise DataError(
+                    f'truth file: "{name}" must be {kind}, got {value!r}')
         return cls(
             alpha=dict(obj["alpha"]),
             beta=dict(obj["beta"]),
             gamma=dict(obj["gamma"]),
             delta=dict(obj["delta"]),
             sigma=float(obj["sigma"]),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
             baseline_energy=float(obj.get("baseline_energy", 0.0)),
         )
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_integer(x) or isinstance(x, float)
+
+
+def _is_level_map(x) -> bool:
+    return isinstance(x, dict) and all(map(_is_number, x.values()))
 
 
 def encode_energy(
@@ -96,13 +128,6 @@ def encode_energy(
     )
 
 
-def shuffle_schedule(keys, seed: int) -> list:
-    """Deterministic random permutation of a measurement schedule."""
-    keys = list(keys)
-    order = np.random.default_rng(seed).permutation(len(keys))
-    return [keys[i] for i in order]
-
-
 def simulate_study(
     truth: GroundTruth,
     cycles: int = 10,
@@ -117,6 +142,9 @@ def simulate_study(
     the configured true baseline energy.  All pattern energies include the
     baseline offset, so baseline subtraction recovers the model draws.
     """
+    if samples_per_cycle < 0:
+        raise DomainError(
+            f"samples per cycle must be >= 0, got {samples_per_cycle}")
     if keys is None:
         keys = truth.legal_keys()
     devices = sorted({k.device for k in keys})

@@ -25,23 +25,22 @@ def bundled_json():
 
 def synthetic_crossed_dataset(
     seed,
-    n_sizes=3,
-    n_ops=4,
-    n_types=2,
+    sizes=("s0", "s1", "s2"),
+    ops=("o0", "o1", "o2", "o3"),
+    dtypes=("t0", "t1"),
     devices=("device1", "device2"),
     obs_per_key=30,
     sigma=1.36e-8,
 ):
     """Fully crossed synthetic dataset with data-scale effect magnitudes.
 
-    Returns (data, effects, sigma) where ``data`` maps raw 4-tuples
-    (size, operation, dtype, device) to observation arrays and ``effects``
-    holds the true per-level values.
+    Draws every level's effect from ``default_rng(seed)``, category by
+    category in the order given, then each key's observations.  Returns
+    (data, effects, sigma) where ``data`` maps raw 4-tuples (size,
+    operation, dtype, device) to observation arrays and ``effects`` holds
+    the true per-level values.
     """
     rng = np.random.default_rng(seed)
-    sizes = [f"s{i}" for i in range(n_sizes)]
-    ops = [f"o{i}" for i in range(n_ops)]
-    dtypes = [f"t{i}" for i in range(n_types)]
     effects = {
         "alpha": {s: abs(rng.normal(5e-9, 3e-9)) for s in sizes},
         "beta": {o: abs(rng.normal(5e-8, 4e-8)) for o in ops},

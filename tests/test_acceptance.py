@@ -11,6 +11,7 @@ fails by design rather than silently loosening the gate; see the package
 README.
 """
 
+import importlib.util
 import json
 import math
 import time
@@ -19,6 +20,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import bytecode_energy
 from bytecode_energy import cli, diagnostics
 from bytecode_energy.catalog import (
     CATEGORY_OF_OPERATION,
@@ -37,8 +39,7 @@ from bytecode_energy.predict import (
     statement_dist,
 )
 from bytecode_energy.simulate import GroundTruth, simulate_study
-
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, synthetic_crossed_dataset, true_key_mean
 
 
 class Budget:
@@ -85,6 +86,30 @@ def test_bundled_model_copies_are_identical():
         assert packaged == repo_copy
 
 
+def test_build_script_regenerates_bundled_model():
+    with Budget(5.0):
+        script = REPO_ROOT / "scripts" / "build_bundled_model.py"
+        spec = importlib.util.spec_from_file_location("build_bundled_model",
+                                                      script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        text = (json.dumps(module.build(), indent=1) + "\n").encode("utf-8")
+        packaged = (resources.files("bytecode_energy") / "data" /
+                    "appendix_a.json").read_bytes()
+        assert text == packaged
+        assert text == (REPO_ROOT / "models" / "appendix_a.json").read_bytes()
+
+
+def test_package_exports_resolve():
+    with Budget(1.0):
+        missing = [name for name in bytecode_energy.__all__
+                   if not hasattr(bytecode_energy, name)]
+        assert not missing
+        namespace = {}
+        exec("from bytecode_energy import *", namespace)
+        assert set(bytecode_energy.__all__) <= set(namespace)
+
+
 def test_bundled_summary_ratio_band(bundled_json):
     # Strict gate on the published table: every stored MCSE/mean ratio must
     # be finite and at most 1e-3.  The shipped estimates violate this for 24
@@ -122,34 +147,22 @@ def test_prior_predictive_range():
 
 # -- 4. Parameter recovery over 20 seeds ------------------------------------
 
-def _recovery_truth(rng):
-    """Random ground truth with magnitudes like the published estimates."""
-    sizes = ["load", "constant", "bits32"]
-    ops = [f"op{i}" for i in range(10)]
-    dtypes = ["int", "long", "float", "double"]
-    devices = ["device1", "device2"]
-    return {
-        "alpha": {s: abs(rng.normal(5e-9, 3e-9)) for s in sizes},
-        "beta": {o: abs(rng.normal(5e-8, 4e-8)) for o in ops},
-        "gamma": {t: abs(rng.normal(5e-9, 4e-9)) for t in dtypes},
-        "delta": {d: abs(rng.normal(3e-9, 3e-9)) for d in devices},
-    }, 1.356665e-08
+RECOVERY_LEVELS = {
+    "sizes": ("load", "constant", "bits32"),
+    "ops": tuple(f"op{i}" for i in range(10)),
+    "dtypes": ("int", "long", "float", "double"),
+}
 
 
 def test_parameter_recovery_20_seeds():
     with Budget(600.0):
         covered = total = 0
         for seed in range(20):
-            rng = np.random.default_rng(1000 + seed)
-            effects, sigma = _recovery_truth(rng)
-            data = {}
-            for s in effects["alpha"]:
-                for o in effects["beta"]:
-                    for t in effects["gamma"]:
-                        for d in effects["delta"]:
-                            mu = (effects["alpha"][s] + effects["beta"][o]
-                                  + effects["gamma"][t] + effects["delta"][d])
-                            data[(s, o, t, d)] = rng.normal(mu, sigma, 50)
+            # Random ground truth with magnitudes like the published
+            # estimates, 50 observations per key.
+            data, effects, _ = synthetic_crossed_dataset(
+                1000 + seed, **RECOVERY_LEVELS, obs_per_key=50,
+                sigma=1.356665e-08)
             model = fit(data, chains=4, warmup=1000, draws=1000, seed=seed)
 
             assert model.meta["converged"], (seed, model.meta["gate_failures"])
@@ -164,8 +177,7 @@ def test_parameter_recovery_20_seeds():
             # Credible-interval calibration on the identified quantities:
             # the per-key mean energies implied by the true effects.
             for key in list(data)[::7]:
-                truth = (effects["alpha"][key[0]] + effects["beta"][key[1]]
-                         + effects["gamma"][key[2]] + effects["delta"][key[3]])
+                truth = true_key_mean(effects, key)
                 lo, hi = np.quantile(model.mu_draws(key), [0.025, 0.975])
                 covered += lo <= truth <= hi
                 total += 1

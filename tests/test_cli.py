@@ -118,6 +118,48 @@ def test_simulate_is_byte_identical_per_seed(workdir):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("{not json", "is not a JSON truth file"),
+    (json.dumps({k: v for k, v in TRUTH.items() if k != "beta"}), '"beta"'),
+    (json.dumps([TRUTH]), "must be a JSON object"),
+    (json.dumps({**TRUTH, "sigma": "small"}), '"sigma"'),
+], ids=["not_json", "no_beta", "array", "text_sigma"])
+def test_simulate_bad_truth_file_exits_1(workdir, capsys, text, expected):
+    path = workdir / "bad_truth.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_error_exit(["simulate", "--truth", str(path),
+                        "--out", str(workdir / "nope.csv")], capsys,
+                       expected)
+
+
+@pytest.mark.parametrize("command, option", [
+    ("prior-check", "--n"), ("simulate", "--samples"),
+], ids=["prior-check-n=-1", "simulate-samples=-1"])
+def test_negative_count_exits_1(workdir, capsys, command, option):
+    argv = [command, option, "-1"]
+    if command == "simulate":
+        argv += ["--truth", str(workdir / "truth.json"),
+                 "--out", str(workdir / "nope.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option[2:] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "classify"])
+def test_non_utf8_input_file_exits_1(workdir, capsys, command):
+    path = workdir / f"not_utf8_{command}.txt"
+    path.write_bytes(",".join(CSV_HEADER).encode() + b"\ndevice1,\xff\n")
+    argv = {
+        "fit": ["fit", "--measurements", str(path),
+                "--out", str(workdir / "nope.json")],
+        "predict": ["predict", "--model", cli.BUNDLED_MODEL,
+                    "--program", str(path)],
+        "classify": ["classify", str(path)],
+    }[command]
+    _assert_error_exit(argv, capsys, f"{path} is not UTF-8 text")
+
+
 def test_fit_writes_converged_model(fitted_model):
     obj = json.loads(fitted_model.read_text(encoding="utf-8"))
     assert obj["meta"]["converged"] is True
@@ -214,10 +256,11 @@ def test_diagnose_missing_file_exits_1(workdir):
     assert cli.main(["diagnose", str(workdir / "missing.json")]) == 1
 
 
-def _assert_error_exit(argv, capsys):
+def _assert_error_exit(argv, capsys, expected=""):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert expected in err
 
 
 def _not_json(obj):

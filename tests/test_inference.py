@@ -21,13 +21,10 @@ from bytecode_energy.inference import (
     fit,
     log_posterior,
     param_names,
-    posterior_mean_mu,
     prior_predictive,
 )
 
 from conftest import synthetic_crossed_dataset, true_key_mean
-
-RATE = 1e3
 
 
 def oracle_log_density(data, theta, spec, device_sampled=True):
@@ -57,12 +54,15 @@ def oracle_log_density(data, theta, spec, device_sampled=True):
             lp += -0.5 * math.log(2 * math.pi) - 0.5 * zj * zj
         mu = theta["mu"][ci]
         lp += (-0.5 * math.log(2 * math.pi)
-               - math.log(spec.hyper_mean_scale)
-               - 0.5 * ((mu - spec.hyper_mean_loc) / spec.hyper_mean_scale) ** 2)
+               - math.log(inference.HYPER_MEAN_SCALE)
+               - 0.5 * ((mu - inference.HYPER_MEAN_LOC)
+                        / inference.HYPER_MEAN_SCALE) ** 2)
         u = theta["log_sd"][ci]
-        lp += math.log(spec.rate_category_sd) - spec.rate_category_sd * math.exp(u) + u
+        rate = inference.RATE_CATEGORY_SD
+        lp += math.log(rate) - rate * math.exp(u) + u
     u = theta["log_sigma"]
-    lp += math.log(spec.rate_sigma) - spec.rate_sigma * math.exp(u) + u
+    rate = inference.RATE_SIGMA
+    lp += math.log(rate) - rate * math.exp(u) + u
     return lp
 
 
@@ -169,9 +169,6 @@ def test_spec_from_keys_sorts_levels():
 def test_spec_rejects_empty_levels_and_bad_rates():
     with pytest.raises(DataError):
         ModelSpec(sizes=(), operations=("o",), dtypes=("t",), devices=("d",))
-    with pytest.raises(DataError):
-        ModelSpec(sizes=("s",), operations=("o",), dtypes=("t",),
-                  devices=("d",), rate_sigma=0.0)
 
 
 def test_param_names_cover_effects_and_hyperparameters():
@@ -205,8 +202,8 @@ def test_fit_is_deterministic_given_seed():
 
 
 def test_fit_is_exchangeable_in_key_order():
-    data, _, _ = synthetic_crossed_dataset(seed=1, n_sizes=2, n_ops=2,
-                                           n_types=2, obs_per_key=10)
+    data, _, _ = synthetic_crossed_dataset(
+        seed=1, sizes=("s0", "s1"), ops=("o0", "o1"), obs_per_key=10)
     reordered = dict(reversed(list(data.items())))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
@@ -441,9 +438,9 @@ def test_summary_only_model_has_no_draws(recovery_fit, tmp_path):
 
 
 def test_single_device_fixes_device_effect_at_zero(tmp_path):
-    data, _, _ = synthetic_crossed_dataset(seed=7, n_sizes=2, n_ops=3,
-                                           n_types=2, devices=("device1",),
-                                           obs_per_key=20)
+    data, _, _ = synthetic_crossed_dataset(
+        seed=7, sizes=("s0", "s1"), ops=("o0", "o1", "o2"),
+        devices=("device1",), obs_per_key=20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
         model = fit(data, chains=2, warmup=200, draws=200, seed=1)
@@ -492,20 +489,19 @@ def test_posterior_mean_mu_degenerate_sum():
             "sigma": {"mean": 0.5, "sd": 0.0},
         },
     )
-    assert posterior_mean_mu(model, ("s", "o", "t", "d")) == 10.0
+    assert model.mean_mu(("s", "o", "t", "d")) == 10.0
 
 
 def test_posterior_mean_mu_unknown_level(bundled_model):
     with pytest.raises(UnknownLevel):
-        posterior_mean_mu(bundled_model,
-                          ("constant", "addition", "int", "device9"))
+        bundled_model.mean_mu(("constant", "addition", "int", "device9"))
 
 
 # -- collapsed location block against a high-precision oracle ---------------
 
 def _crossed_design():
-    data, _, _ = synthetic_crossed_dataset(seed=11, n_sizes=2, n_ops=3,
-                                           n_types=2, obs_per_key=5)
+    data, _, _ = synthetic_crossed_dataset(
+        seed=11, sizes=("s0", "s1"), ops=("o0", "o1", "o2"), obs_per_key=5)
     return data
 
 
@@ -580,7 +576,8 @@ def mpmath_location_oracle(data, spec, sds, sigma, mp):
             moment[i] += wi * total / var
             for j, wj in cols:
                 prec[i, j] += len(values) * wi * wj / var
-    loc, scale = mp.mpf(spec.hyper_mean_loc), mp.mpf(spec.hyper_mean_scale)
+    loc = mp.mpf(inference.HYPER_MEAN_LOC)
+    scale = mp.mpf(inference.HYPER_MEAN_SCALE)
     for i in range(nz):
         prec[i, i] += 1
     for i in range(nz, dim):
@@ -593,8 +590,8 @@ def mpmath_location_oracle(data, spec, sds, sigma, mp):
                  - ncat * (loc / scale) ** 2 / 2
                  - mp.fsum(mp.log(chol[i, i]) for i in range(dim))
                  + mp.fsum(moment[i] * mean[i] for i in range(dim)) / 2)
-    for rate, value in [(spec.rate_category_sd, s) for s in sd] + [
-            (spec.rate_sigma, mp.sqrt(var))]:
+    for rate, value in [(inference.RATE_CATEGORY_SD, s) for s in sd] + [
+            (inference.RATE_SIGMA, mp.sqrt(var))]:
         collapsed += mp.log(rate) - rate * value + mp.log(value)
     return collapsed, mean, prec
 
@@ -680,7 +677,7 @@ def test_location_system_refuses_states_it_cannot_compute_exactly():
 POOL_DESIGNS = {
     "toy": lambda: TOY_DATA,
     "two_devices": lambda: synthetic_crossed_dataset(
-        seed=6, n_sizes=2, n_ops=3, n_types=2, obs_per_key=8)[0],
+        seed=6, sizes=("s0", "s1"), ops=("o0", "o1", "o2"), obs_per_key=8)[0],
 }
 
 

@@ -153,8 +153,8 @@ def test_load_well_formed_file(tmp_path):
     assert len(ds.records) == 2
     assert len(ds.baselines) == 1
     key = PatternKey(ADD_INT, "device1")
-    assert ds.counts() == {key: 2}
-    assert ds.devices() == ["device1"]
+    assert {k: len(v) for k, v in ds.by_key().items()} == {key: 2}
+    assert {r.device for r in ds.records} == {"device1"}
 
 
 def test_load_bad_amperage_reports_row(tmp_path):
@@ -294,7 +294,7 @@ def test_load_matches_per_row_reference(tmp_path):
     assert list(ds.baselines) == baselines
     assert _bits([r.energy for r in ds.records]) == _bits(
         [r.energy for r in records])
-    assert ds.devices() == ["device1", "device2"]
+    assert {r.device for r in ds.records} == {"device1", "device2"}
 
     got = ds.corrected()
     assert list(got.records) == corrected

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bytecode_energy.catalog import PatternKey, PatternTriple
 from bytecode_energy.errors import (
-    CovarianceDimensionMismatch,
     DomainError,
     EmptyManifest,
     UnknownLevel,
@@ -31,14 +30,6 @@ def test_cdf_symmetry():
     assert STD_NORMAL.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_entropy_closed_form():
-    assert STD_NORMAL.entropy() == pytest.approx(
-        0.5 * math.log(2 * math.pi * math.e), rel=1e-12)
-    scaled = GaussianDist(3.0, 2.5)
-    assert scaled.entropy() == pytest.approx(
-        0.5 * math.log(2 * math.pi * math.e * 2.5 ** 2), rel=1e-12)
-
-
 def test_quantile_95_percent():
     d = GaussianDist(2.0, 3.0)
     assert d.quantile(0.95) == pytest.approx(2.0 + 1.6448536 * 3.0, abs=3e-6)
@@ -49,10 +40,6 @@ def test_quantile_cdf_round_trip():
     for p in np.concatenate([[1e-6, 1 - 1e-6],
                              np.linspace(0.001, 0.999, 41)]):
         assert abs(d.cdf(d.quantile(p)) - p) < 1e-9
-
-
-def test_mode_equals_mean():
-    assert GaussianDist(5.0, 2.0).mode == 5.0
 
 
 def test_quantile_domain_errors():
@@ -86,27 +73,9 @@ def test_convolve_single_distribution_is_identity():
     assert (out.mean, out.sd) == (2.0, 0.5)
 
 
-def test_convolve_full_correlation_doubles_sd():
-    sd = 3e-9
-    d = GaussianDist(1e-8, sd)
-    cov = np.full((2, 2), sd * sd)
-    out = convolve([d, d], cov=cov)
-    assert out.mean == pytest.approx(2e-8, rel=1e-12)
-    assert out.sd == pytest.approx(2 * sd, rel=1e-12)
-
-
-def test_convolve_covariance_shape_mismatch():
-    d = GaussianDist(0.0, 1.0)
-    with pytest.raises(CovarianceDimensionMismatch):
-        convolve([d, d], cov=np.zeros((3, 3)))
-
-
 def test_convolve_rejects_empty_and_negative_variance():
     with pytest.raises(DomainError):
         convolve([])
-    d = GaussianDist(0.0, 1.0)
-    with pytest.raises(DomainError):
-        convolve([d, d], cov=np.full((2, 2), -5.0))
 
 
 def test_convolution_against_monte_carlo():

@@ -15,7 +15,6 @@ from bytecode_energy.simulate import (
     SUPPLY_VOLTAGE,
     GroundTruth,
     encode_energy,
-    shuffle_schedule,
     simulate_study,
 )
 
@@ -101,19 +100,6 @@ def test_encode_energy_round_trips_through_ingestion():
         assert math.isclose(energy_per_iteration(s), energy, rel_tol=1e-12)
 
 
-def test_shuffle_schedule_is_deterministic_permutation():
-    keys = ["a", "b", "c"]
-    first = shuffle_schedule(keys, seed=0)
-    second = shuffle_schedule(keys, seed=0)
-    assert first == second
-    assert sorted(first) == keys
-
-
-def test_shuffle_schedule_varies_with_seed():
-    keys = list(range(20))
-    assert shuffle_schedule(keys, seed=0) != shuffle_schedule(keys, seed=1)
-
-
 def test_study_record_counts():
     truth = GroundTruth(
         alpha={"load": 0.0, "constant": 1e-9},
@@ -126,7 +112,8 @@ def test_study_record_counts():
     cycles, per_cycle = 4, 3
     samples = simulate_study(truth, cycles=cycles, samples_per_cycle=per_cycle)
     keys = truth.legal_keys()
-    counts = dataset_from_samples(samples).counts()
+    counts = {k: len(v) for k, v in
+              dataset_from_samples(samples).by_key().items()}
     assert set(counts) == set(keys)
     assert all(c == cycles * per_cycle for c in counts.values())
     baselines = [s for s in samples if s.pattern is None]
