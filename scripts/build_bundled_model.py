@@ -3,8 +3,8 @@
 
 The bundled model carries per-parameter posterior summaries (mean, MCSE,
 sd, ESS, R-hat) for the full 174-pattern catalog on two devices, with no
-raw draws.  Writes both the package copy (src/bytecode_energy/data/) and
-the top-level models/ copy; the two must stay identical.
+raw draws.  Writes the package data file
+src/bytecode_energy/data/appendix_a.json.
 """
 
 import json
@@ -131,16 +131,10 @@ def build() -> dict:
 
 
 def main():
-    root = Path(__file__).resolve().parent.parent
-    obj = build()
-    text = json.dumps(obj, indent=1) + "\n"
-    for target in (
-        root / "src" / "bytecode_energy" / "data" / "appendix_a.json",
-        root / "models" / "appendix_a.json",
-    ):
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
-        print(f"wrote {target}")
+    target = (Path(__file__).resolve().parent.parent / "src" / "bytecode_energy"
+              / "data" / "appendix_a.json")
+    target.write_text(json.dumps(build(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {target}")
 
 
 if __name__ == "__main__":

@@ -110,6 +110,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = load_measurements(args.measurements)
+    if not dataset.records:
+        raise BytecodeEnergyError(
+            f"{args.measurements} holds no pattern records")
     corrected = dataset.corrected()
     data = {k: v for k, v in corrected.by_key().items()}
     if args.device:

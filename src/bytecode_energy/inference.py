@@ -531,38 +531,114 @@ def log_posterior(theta: dict, data: dict, spec: ModelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 ACCEPT_TARGET = 0.3  # middle of the 20-40% adaptation band
-
-
-class _StepSize:
-    """Robbins-Monro step-size adaptation on the log scale."""
-
-    def __init__(self, value: float):
-        self.log_value = math.log(value)
-        self.t = 0
-        self.accepted = 0
-        self.proposed = 0
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-    def update(self, accept_prob: float, adapting: bool):
-        self.proposed += 1
-        if adapting:
-            self.t += 1
-            gain = min(1.0, 3.0 * self.t ** -0.6)
-            self.log_value += gain * (accept_prob - ACCEPT_TARGET)
-            self.log_value = min(max(self.log_value, -60.0), 10.0)
-
-    def rate(self) -> float:
-        return self.accepted / self.proposed if self.proposed else 0.0
-
-
 SCALE_SWEEPS = 3  # scale sweeps per iteration, each ending in a mode swap
 
 
-def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator):
-    """One chain: (draws x params) samples, acceptance rates and its trace.
+class _Chain:
+    """One chain of the collapsed kernel, its whole state held explicitly.
+
+    The state is the current _LocationSystem (the log scales and the
+    location system they factor); for each of the C + 1 scales -- the C
+    log category sds, then log sigma -- a log step size, its adaptation
+    count and its accepted and proposed counts; the mode swaps proposed and
+    accepted per category pair; the collapsed evaluations, the proposals
+    location_system refused on purpose and those whose density was
+    singular or not finite; and the seconds spent in location_system.
+    ``step`` is the kernel's one entry point; ``rng`` is the chain's stream.
+    """
+
+    def __init__(self, model: _Model, rng: np.random.Generator):
+        self.model = model
+        self.rng = rng
+        ncat = len(model.cats)
+        # The normals that once seeded a non-centered location start, drawn
+        # and discarded so that a seed keeps its draws (ROADMAP item 3).
+        rng.standard_normal(sum(model.sizes))
+        self.location_s = 0.0
+        self.system = self._evaluate(
+            np.full(ncat, math.log(1.0 / RATE_CATEGORY_SD)),
+            math.log(1.0 / RATE_SIGMA))
+        self.counts = {"evaluations": 1, "refused_states": 0,
+                       "nonfinite_states": 0}
+        self.log_step = [math.log(0.5)] * ncat + [math.log(0.1)]
+        self.adapted = [0] * (ncat + 1)
+        self.accepted = [0] * (ncat + 1)
+        self.proposed = [0] * (ncat + 1)
+        self.swaps = {(i, j): [0, 0]  # proposed, accepted
+                      for i in range(ncat) for j in range(i + 1, ncat)}
+
+    def _evaluate(self, log_sd, log_sigma) -> _LocationSystem:
+        """location_system, timed into location_s."""
+        called = time.perf_counter()
+        try:
+            return self.model.location_system(log_sd, log_sigma)
+        finally:
+            self.location_s += time.perf_counter() - called
+
+    def _metropolis(self, log_sd, log_sigma) -> tuple[bool, float]:
+        """Collapsed scale update against p(scales | data): whether the
+        proposal was accepted, and its acceptance probability."""
+        self.counts["evaluations"] += 1
+        a = 0.0
+        try:
+            proposed = self._evaluate(log_sd, log_sigma)
+        except _Refused:
+            self.counts["refused_states"] += 1
+        except DataError:
+            self.counts["nonfinite_states"] += 1
+        else:
+            log_a = proposed.collapsed - self.system.collapsed
+            a = 1.0 if log_a >= 0 else math.exp(log_a)
+        # A refused or underflowed proposal draws no uniform.
+        accepted = a > 0 and self.rng.random() < a
+        if accepted:
+            self.system = proposed
+        return accepted, a
+
+    def step(self, adapting: bool) -> np.ndarray:
+        """One iteration, returning the stored row.  While ``adapting``,
+        each scale's step size moves toward ACCEPT_TARGET by Robbins-Monro
+        on the log scale; otherwise the step sizes stay frozen."""
+        rng = self.rng
+        ncat = len(self.log_step) - 1
+        pairs = list(self.swaps)
+        for _ in range(SCALE_SWEEPS):
+            for i in range(ncat + 1):
+                scales = [*self.system.log_sd, self.system.log_sigma]
+                scales[i] += math.exp(self.log_step[i]) * rng.standard_normal()
+                accepted, a = self._metropolis(scales[:-1], scales[-1])
+                self.accepted[i] += accepted
+                self.proposed[i] += 1
+                if adapting:
+                    # Python floats: numpy's SIMD paths may round otherwise.
+                    self.adapted[i] += 1
+                    gain = min(1.0, 3.0 * self.adapted[i] ** -0.6)
+                    self.log_step[i] = min(max(
+                        self.log_step[i] + gain * (a - ACCEPT_TARGET),
+                        -60.0), 10.0)
+
+            # Mode-swap move: the collapsed target can be multimodal in which
+            # category carries a large sd (categories with similar level
+            # counts can absorb the same hyper-mean offset).  Exchanging two
+            # log sds is a symmetric proposal that jumps between those modes
+            # directly.  Proposed once per sweep, it lets a chain leave a
+            # minor mode within an iteration instead of tens of them.
+            if pairs:
+                i, j = pair = pairs[rng.integers(len(pairs))]
+                log_sd = list(self.system.log_sd)
+                log_sd[i], log_sd[j] = log_sd[j], log_sd[i]
+                self.swaps[pair][0] += 1
+                accepted, _ = self._metropolis(log_sd, self.system.log_sigma)
+                self.swaps[pair][1] += accepted
+
+        # Location block: exact multivariate-normal Gibbs draw.  Warmup
+        # makes it too, to keep the stream (ROADMAP item 3).
+        return self.model.draw_locations(self.system, rng)
+
+
+def _run_chain(model: _Model, warmup: int, draws: int, seed: int):
+    """One chain on stream ``seed``: (draws x params) samples, acceptance
+    rates and trace.
 
     The trace holds the warmup and sampling seconds, the seconds spent in
     location_system and its calls (the collapsed evaluations,
@@ -572,120 +648,33 @@ def _run_chain(model: _Model, warmup: int, draws: int, rng: np.random.Generator)
     swaps proposed and accepted per category pair.
     """
     started = time.perf_counter()
-    ncat = len(model.cats)
-    # The normals that once seeded a non-centered location start, drawn and
-    # discarded so that a seed keeps its draws (ROADMAP item 1).
-    rng.standard_normal(sum(model.sizes))
-    location_s = 0.0
-
-    def evaluate(log_sd, log_sigma):
-        """location_system, timed into location_s."""
-        nonlocal location_s
-        called = time.perf_counter()
-        try:
-            return model.location_system(log_sd, log_sigma)
-        finally:
-            location_s += time.perf_counter() - called
-
-    # The chain's state: its scales and the location system they factor.
-    system = evaluate(np.full(ncat, math.log(1.0 / RATE_CATEGORY_SD)),
-                      math.log(1.0 / RATE_SIGMA))
-    counts = {"evaluations": 1, "refused_states": 0, "nonfinite_states": 0}
-
-    steps = {
-        "log_sd": [_StepSize(0.5) for _ in range(ncat)],
-        "log_sigma": _StepSize(0.1),
-    }
-
-    swap_pairs = [(i, j) for i in range(ncat) for j in range(i + 1, ncat)]
-    swaps = {pair: [0, 0] for pair in swap_pairs}  # proposed, accepted
-
-    def metropolis(step: _StepSize | None, log_sd, log_sigma, adapting):
-        """Collapsed scale update: accept against p(scales | data)."""
-        nonlocal system
-        counts["evaluations"] += 1
-        try:
-            proposed = evaluate(log_sd, log_sigma)
-        except _Refused:
-            proposed = None
-            counts["refused_states"] += 1
-        except DataError:
-            proposed = None
-            counts["nonfinite_states"] += 1
-        if proposed is None:
-            a = 0.0
-        else:
-            log_a = proposed.collapsed - system.collapsed
-            a = 1.0 if log_a >= 0 else math.exp(log_a)
-        accepted = a > 0 and rng.random() < a
-        if accepted:
-            system = proposed
-            if step is not None:
-                step.accepted += 1
-        if step is not None:
-            step.update(a, adapting)
-        return accepted
-
-    def iteration(adapting: bool) -> np.ndarray:
-        for _ in range(SCALE_SWEEPS):
-            for ci in range(ncat):
-                step = steps["log_sd"][ci]
-                proposal = np.array(system.log_sd)
-                proposal[ci] += step.value * rng.standard_normal()
-                metropolis(step, proposal, system.log_sigma, adapting)
-
-            step = steps["log_sigma"]
-            proposal = system.log_sigma + step.value * rng.standard_normal()
-            metropolis(step, system.log_sd, proposal, adapting)
-
-            # Mode-swap move: the collapsed target can be multimodal in which
-            # category carries a large sd (categories with similar level
-            # counts can absorb the same hyper-mean offset).  Exchanging two
-            # log sds is a symmetric proposal that jumps between those modes
-            # directly.  Proposed once per sweep, it lets a chain leave a
-            # minor mode within an iteration instead of tens of them.
-            if ncat >= 2:
-                pair = swap_pairs[rng.integers(len(swap_pairs))]
-                proposal = np.array(system.log_sd)
-                proposal[list(pair)] = proposal[list(pair[::-1])]
-                swaps[pair][0] += 1
-                if metropolis(None, proposal, system.log_sigma, adapting):
-                    swaps[pair][1] += 1
-
-        # Location block: exact multivariate-normal Gibbs draw.  Warmup
-        # makes it too, to keep the stream (ROADMAP item 1).
-        return model.draw_locations(system, rng)
-
+    chain = _Chain(model, np.random.default_rng(seed))
     for _ in range(warmup):
-        iteration(adapting=True)
+        chain.step(adapting=True)
     warmed_up = time.perf_counter()
-    samples = np.array([iteration(adapting=False) for _ in range(draws)])
+    samples = np.array([chain.step(adapting=False) for _ in range(draws)])
 
-    swap_proposed = sum(p for p, _ in swaps.values())
-    swap_accepted = sum(a for _, a in swaps.values())
+    rates = [a / p if p else 0.0 for a, p in zip(chain.accepted, chain.proposed)]
+    swap_proposed = sum(p for p, _ in chain.swaps.values())
+    swap_accepted = sum(a for _, a in chain.swaps.values())
     acc = {
-        "log_sd": float(np.mean([s.rate() for s in steps["log_sd"]])),
-        "log_sigma": steps["log_sigma"].rate(),
+        "log_sd": float(np.mean(rates[:-1])),
+        "log_sigma": rates[-1],
         "swap": swap_accepted / swap_proposed if swap_proposed else 1.0,
     }
     cats = model.cats
+    steps = [math.exp(u) for u in chain.log_step]
     trace = {
         "warmup_s": warmed_up - started,
         "sampling_s": time.perf_counter() - warmed_up,
-        "location_s": location_s,
-        **counts,
-        "step_sizes": {**{f"sd[{cat}]": step.value
-                          for cat, step in zip(cats, steps["log_sd"])},
-                       "sigma": steps["log_sigma"].value},
+        "location_s": chain.location_s,
+        **chain.counts,
+        "step_sizes": {**{f"sd[{cat}]": v for cat, v in zip(cats, steps)},
+                       "sigma": steps[-1]},
         "swaps": {f"{cats[i]}/{cats[j]}": {"proposed": p, "accepted": a}
-                  for (i, j), (p, a) in swaps.items()},
+                  for (i, j), (p, a) in chain.swaps.items()},
     }
     return samples, acc, trace
-
-
-def _seeded_chain(model: _Model, warmup: int, draws: int, seed: int, c: int):
-    """Chain c of a fit, on its own stream seed + c."""
-    return _run_chain(model, warmup, draws, np.random.default_rng(seed + c))
 
 
 def _available_cpus() -> int:
@@ -705,12 +694,12 @@ def _install_task(task) -> None:
     _worker_task = task
 
 
-def _call_task(c: int):
-    return _worker_task(c)
+def _call_task(arg):
+    return _worker_task(arg)
 
 
-def _map_chains(task, chains: int) -> tuple[list, int]:
-    """[task(c) for c in range(chains)] and the number of processes used.
+def _map_chains(task, args: list) -> tuple[list, int]:
+    """[task(arg) for arg in args] and the number of processes used.
 
     Chains run in forked worker processes, at most one per available CPU.
     Under fork the task, model included, reaches the workers by
@@ -722,13 +711,13 @@ def _map_chains(task, chains: int) -> tuple[list, int]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(chains, _available_cpus())
+    workers = min(len(args), _available_cpus())
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [task(c) for c in range(chains)], 1
+        return [task(arg) for arg in args], 1
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              initializer=_install_task,
                              initargs=(task,)) as pool:
-        return list(pool.map(_call_task, range(chains))), workers
+        return list(pool.map(_call_task, args)), workers
 
 
 def param_names(spec: ModelSpec) -> list[str]:
@@ -989,7 +978,8 @@ def fit(
 
     started = time.perf_counter()
     results, workers = _map_chains(
-        functools.partial(_seeded_chain, model, warmup, draws, seed), chains)
+        functools.partial(_run_chain, model, warmup, draws),
+        [seed + c for c in range(chains)])
     chains_wall_s = time.perf_counter() - started
     draw_array = np.stack([r[0] for r in results])  # (chains, draws, P)
     traces = [r[2] for r in results]

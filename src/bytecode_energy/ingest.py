@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -261,7 +262,9 @@ def _parse_row(row: list[str], rownum: int) -> RawSample:
         voltage=number("voltage_v", float, lambda v: v > 0 and math.isfinite(v)),
         amperage=number("amperage_a", float, math.isfinite),
         elapsed=number("elapsed_s", float, lambda v: v > 0 and math.isfinite(v)),
-        iterations=number("iterations", int, lambda v: v >= 1),
+        # Beyond the float range, elapsed / iterations cannot be computed.
+        iterations=number("iterations", int,
+                          lambda v: 1 <= v <= sys.float_info.max),
     )
 
 

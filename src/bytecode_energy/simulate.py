@@ -142,6 +142,8 @@ def simulate_study(
     the configured true baseline energy.  All pattern energies include the
     baseline offset, so baseline subtraction recovers the model draws.
     """
+    if cycles < 0:
+        raise DomainError(f"cycles must be >= 0, got {cycles}")
     if samples_per_cycle < 0:
         raise DomainError(
             f"samples per cycle must be >= 0, got {samples_per_cycle}")

@@ -1,6 +1,7 @@
 """Shared fixtures and synthetic-data helpers for the test suite."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ def bundled_model():
 
 @pytest.fixture(scope="session")
 def bundled_json():
-    path = REPO_ROOT / "models" / "appendix_a.json"
+    path = resources.files("bytecode_energy") / "data" / "appendix_a.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 

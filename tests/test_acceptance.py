@@ -78,14 +78,6 @@ def test_bundled_model_reproduction(bundled_model, bundled_json):
         assert stored["delta[device1]"]["mean"] == 6.739114e-09
 
 
-def test_bundled_model_copies_are_identical():
-    with Budget(1.0):
-        packaged = (resources.files("bytecode_energy") / "data" /
-                    "appendix_a.json").read_bytes()
-        repo_copy = (REPO_ROOT / "models" / "appendix_a.json").read_bytes()
-        assert packaged == repo_copy
-
-
 def test_build_script_regenerates_bundled_model():
     with Budget(5.0):
         script = REPO_ROOT / "scripts" / "build_bundled_model.py"
@@ -97,7 +89,6 @@ def test_build_script_regenerates_bundled_model():
         packaged = (resources.files("bytecode_energy") / "data" /
                     "appendix_a.json").read_bytes()
         assert text == packaged
-        assert text == (REPO_ROOT / "models" / "appendix_a.json").read_bytes()
 
 
 def test_package_exports_resolve():

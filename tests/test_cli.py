@@ -134,7 +134,8 @@ def test_simulate_bad_truth_file_exits_1(workdir, capsys, text, expected):
 
 @pytest.mark.parametrize("command, option", [
     ("prior-check", "--n"), ("simulate", "--samples"),
-], ids=["prior-check-n=-1", "simulate-samples=-1"])
+    ("simulate", "--cycles"),
+], ids=["prior-check-n=-1", "simulate-samples=-1", "simulate-cycles=-1"])
 def test_negative_count_exits_1(workdir, capsys, command, option):
     argv = [command, option, "-1"]
     if command == "simulate":
@@ -207,6 +208,18 @@ def test_fit_missing_baseline_exits_1(workdir, capsys):
                    "--out", str(workdir / "nope.json")])
     assert rc == 1
     assert "baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    [], ["device1,BASELINE,0,0,5.6,0.01,0.1006,10000000"],
+], ids=["header-only", "baselines-only"])
+def test_fit_file_without_pattern_records_exits_1(workdir, capsys, rows):
+    csv_path = workdir / "nopatterns.csv"
+    csv_path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n",
+                        encoding="utf-8")
+    _assert_error_exit(["fit", "--measurements", str(csv_path),
+                        "--out", str(workdir / "nope.json")], capsys,
+                       f"{csv_path} holds no pattern records")
 
 
 def test_fit_data_error_in_a_worker_exits_1(measurements, workdir,

@@ -14,6 +14,7 @@ from bytecode_energy.inference import (
     ModelSpec,
     NonConvergenceWarning,
     PosteriorModel,
+    _Chain,
     _Model,
     _Refused,
     _run_chain,
@@ -692,7 +693,7 @@ def test_fit_draws_equal_serial_chains(design, cpus, monkeypatch):
         warnings.simplefilter("ignore", NonConvergenceWarning)
         model = fit(data, chains=chains, warmup=warmup, draws=draws, seed=seed)
     spec, bound = _bound_model(data)
-    serial = [_run_chain(bound, warmup, draws, np.random.default_rng(seed + c))
+    serial = [_run_chain(bound, warmup, draws, seed + c)
               for c in range(chains)]
     assert model.draws.tobytes() == np.stack([r[0] for r in serial]).tobytes()
     assert model.meta["acceptance"] == [r[1] for r in serial]
@@ -704,6 +705,25 @@ def test_fit_draws_equal_serial_chains(design, cpus, monkeypatch):
                for t in model.meta["trace"])
     if cpus is not None:
         assert model.meta["workers"] == min(chains, cpus)
+
+
+def test_chain_step_adapts_in_warmup_only_and_drives_run_chain():
+    _, model = _bound_model(TOY_DATA)
+    ncat, seed, k = len(model.cats), 8, 6
+    chain = _Chain(model, np.random.default_rng(seed))
+    rows = []
+    for adapting in [True] * k + [False] * k:
+        log_step = list(chain.log_step)
+        evaluations = chain.counts["evaluations"]
+        rows.append(chain.step(adapting))
+        assert chain.counts["evaluations"] == evaluations + 3 * (ncat + 2)
+        moved = [u != v for u, v in zip(chain.log_step, log_step)]
+        assert moved == [adapting] * (ncat + 1)
+    assert chain.adapted == [3 * k] * (ncat + 1)
+    assert chain.proposed == [6 * k] * (ncat + 1)
+    samples, _, trace = _run_chain(model, k, k, seed)
+    assert samples.tobytes() == np.array(rows[k:]).tobytes()
+    assert trace["evaluations"] == chain.counts["evaluations"]
 
 
 def test_worker_data_error_reaches_the_caller(monkeypatch):

@@ -343,6 +343,9 @@ _ILLEGAL = "device1,addition:long:bits32,0,0,5.6,0.1,0.1006,10000000"
      SchemaError, 4098, "bad iterations value '1.5'"),
     ([_GOOD] * 5000 + [_GOOD.replace("0.1006", "inf")],
      SchemaError, 5002, "elapsed_s out of range: inf"),
+    # an integer count too large for the energy's float division
+    ([_GOOD, _GOOD.replace("10000000", "1" + "0" * 400)],
+     SchemaError, 3, "iterations out of range"),
 ])
 def test_load_reports_first_error_in_file_order(tmp_path, rows, error, row,
                                                 message):
