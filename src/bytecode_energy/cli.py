@@ -23,14 +23,14 @@ BUNDLED_MODEL = "appendix_a"
 
 def load_model(spec: str) -> inference.PosteriorModel:
     """Load a model from a path, or a bundled model by bare name."""
-    if spec == BUNDLED_MODEL:
-        text = (resources.files("bytecode_energy") / "data" /
-                f"{BUNDLED_MODEL}.json").read_text()
-        return inference.PosteriorModel.from_json_dict(json.loads(text))
-    return inference.PosteriorModel.load(spec)
+    if spec != BUNDLED_MODEL:
+        return inference.PosteriorModel.load(spec)
+    bundle = resources.files("bytecode_energy") / "data" / f"{spec}.json"
+    with resources.as_file(bundle) as path:
+        return inference.PosteriorModel.load(path)
 
 
-def _fmt(value, width=13):
+def _fmt(value, width=14):
     if value is None:
         return "-".rjust(width)
     if isinstance(value, bool):
@@ -40,21 +40,13 @@ def _fmt(value, width=13):
     return str(value).rjust(width)
 
 
-def _print_report(report: diagnostics.DiagnosticsReport, out) -> None:
+def _print_report(rows: list[dict], out) -> None:
     header = ["parameter", "mean", "mcse", "sd", "ess", "rhat", "gate"]
     print(f"{header[0]:<28}" + "".join(h.rjust(14) for h in header[1:]),
           file=out)
-    for row in report.rows():
-        print(
-            f"{row['parameter']:<28}"
-            + _fmt(row["mean"], 14)
-            + _fmt(row["mcse"], 14)
-            + _fmt(row["sd"], 14)
-            + _fmt(row["ess"], 14)
-            + _fmt(row["rhat"], 14)
-            + _fmt(row["pass"], 14),
-            file=out,
-        )
+    for row in rows:
+        cells = (row[k] for k in ("mean", "mcse", "sd", "ess", "rhat", "pass"))
+        print(f"{row['parameter']:<28}" + "".join(map(_fmt, cells)), file=out)
 
 
 def cmd_catalog(args) -> int:
@@ -139,13 +131,14 @@ def cmd_fit(args) -> int:
 
 def cmd_diagnose(args) -> int:
     model = load_model(args.model)
-    report = diagnostics.report(model)
+    rows = diagnostics.report(model)
     if args.json:
-        json.dump(report.rows(), sys.stdout, indent=1)
+        json.dump(rows, sys.stdout, indent=1)
         print()
     else:
-        _print_report(report, sys.stdout)
-        print(f"gates: {'pass' if report.passed else 'FAIL'}")
+        _print_report(rows, sys.stdout)
+        passed = all(row["pass"] for row in rows)
+        print(f"gates: {'pass' if passed else 'FAIL'}")
     return 0
 
 

@@ -9,7 +9,6 @@ can therefore differ slightly from rank-normalizing toolchains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -93,42 +92,6 @@ def mcse(chains) -> float:
     return _column(chains, "mcse")
 
 
-@dataclass
-class ParameterDiagnostics:
-    name: str
-    mean: float
-    sd: float
-    mcse: float | None
-    ess: float | None
-    ess_ratio: float | None
-    rhat: float | None
-    passed: bool
-
-
-@dataclass
-class DiagnosticsReport:
-    parameters: list[ParameterDiagnostics]
-
-    @property
-    def passed(self) -> bool:
-        return all(p.passed for p in self.parameters)
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "parameter": p.name,
-                "mean": p.mean,
-                "mcse": p.mcse,
-                "sd": p.sd,
-                "ess": p.ess,
-                "rhat": p.rhat,
-                "ess_ratio": p.ess_ratio,
-                "pass": p.passed,
-            }
-            for p in self.parameters
-        ]
-
-
 def _gate(rhat, ess_value, ess_ratio) -> bool:
     if rhat is None or ess_value is None:
         return True  # fixed parameters carry no sampling error
@@ -139,36 +102,26 @@ def _gate(rhat, ess_value, ess_ratio) -> bool:
     return True
 
 
-def report(model) -> DiagnosticsReport:
-    """Build the per-parameter convergence report for a posterior model.
+def report(model) -> list[dict]:
+    """The per-parameter convergence report of a posterior model.
 
-    Uses the stored summaries verbatim; models without draws (summary-only
+    One row per parameter, as ``diagnose --json`` prints it: parameter,
+    mean, mcse, sd, ess, rhat, ess_ratio and pass, its gate verdict.  Uses
+    the stored summaries verbatim; models without draws (summary-only
     bundles) are reported exactly as shipped.
     """
-    n_total = None
     chains = model.meta.get("chains")
     draws = model.meta.get("draws_per_chain")
-    if chains and draws:
-        n_total = chains * draws
-
-    params = []
+    n_total = chains * draws if chains and draws else None
+    rows = []
     for name, s in model.summaries.items():
-        ess_value = s.get("ess")
-        rhat = s.get("rhat")
-        ratio = (ess_value / n_total) if (ess_value and n_total) else None
-        params.append(
-            ParameterDiagnostics(
-                name=name,
-                mean=s["mean"],
-                sd=s["sd"],
-                mcse=s.get("mcse"),
-                ess=ess_value,
-                ess_ratio=ratio,
-                rhat=rhat,
-                passed=_gate(rhat, ess_value, ratio),
-            )
-        )
-    return DiagnosticsReport(parameters=params)
+        ess_value, rhat = s.get("ess"), s.get("rhat")
+        ratio = ess_value / n_total if ess_value and n_total else None
+        rows.append({"parameter": name, "mean": s["mean"],
+                     "mcse": s.get("mcse"), "sd": s["sd"], "ess": ess_value,
+                     "rhat": rhat, "ess_ratio": ratio,
+                     "pass": _gate(rhat, ess_value, ratio)})
+    return rows
 
 
 def posterior_predictive_check(model, data: dict, level: float = 0.99) -> list:

@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how messages quote input."""
+
+
+def shorten(value, limit: int = 40) -> str:
+    """repr(value) for an error message, its middle cut out past ``limit``."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit // 2]}...{text[3 - limit // 2:]}"
 
 
 class BytecodeEnergyError(Exception):

@@ -36,6 +36,7 @@ from .errors import (
     IllegalTriple,
     MissingBaseline,
     SchemaError,
+    shorten,
 )
 
 BASELINE = "BASELINE"
@@ -233,7 +234,8 @@ def _parse_pattern(pattern_field: str, device_field: str, rownum: int
             raise IllegalTriple(
                 f"row {rownum}: {pattern_text!r} is outside the catalog"
             ) from None
-        raise SchemaError(rownum, f"unclassifiable pattern {pattern_text!r}")
+        raise SchemaError(
+            rownum, f"unclassifiable pattern {shorten(pattern_text)}")
 
 
 def _parse_row(row: list[str], rownum: int) -> RawSample:
@@ -247,9 +249,11 @@ def _parse_row(row: list[str], rownum: int) -> RawSample:
         try:
             value = conv(raw)
         except ValueError:
-            raise SchemaError(rownum, f"bad {field} value {raw!r}") from None
+            raise SchemaError(
+                rownum, f"bad {field} value {shorten(raw)}") from None
         if not check(value):
-            raise SchemaError(rownum, f"{field} out of range: {value!r}")
+            raise SchemaError(
+                rownum, f"{field} out of range: {shorten(value)}")
         return value
 
     pattern, device = _parse_pattern(fields["pattern"], fields["device_id"],

@@ -12,12 +12,13 @@ distribution, never as a point maximum.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 
 from .catalog import PatternKey, PatternTriple, is_legal
-from .errors import DomainError, EmptyManifest, UnknownPattern
+from .errors import DomainError, EmptyManifest, UnknownPattern, shorten
 
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
@@ -92,17 +93,20 @@ class ProgramManifest:
                 descriptor, device = spec.strip().rsplit("@", 1)
                 op, dtype, dsize = descriptor.split(":")
             except ValueError:
-                raise UnknownPattern(
-                    f"line {lineno}: cannot parse manifest entry {text!r}"
-                ) from None
+                raise UnknownPattern(f"line {lineno}: cannot parse manifest "
+                                     f"entry {shorten(text)}") from None
             if count < 1:
                 raise DomainError(f"line {lineno}: count must be >= 1")
             triple = PatternTriple(op, dtype, dsize)
             if not is_legal(triple):
-                raise UnknownPattern(
-                    f"line {lineno}: {descriptor!r} is not a modeled pattern"
-                )
-            entries[PatternKey(triple, device)] += count
+                raise UnknownPattern(f"line {lineno}: {shorten(descriptor)} "
+                                     "is not a modeled pattern")
+            key = PatternKey(triple, device)
+            entries[key] += count
+            # Beyond the float range, count * energy cannot be computed.
+            if entries[key] > sys.float_info.max:
+                raise DomainError(f"line {lineno}: count {shorten(count)} "
+                                  "takes its pattern beyond the float range")
         return cls(entries=dict(entries))
 
 

@@ -63,8 +63,8 @@ class Budget:
 
 def test_bundled_model_reproduction(bundled_model, bundled_json):
     with Budget(1.0):
-        report = diagnostics.report(bundled_model)
-        rows = {r["parameter"]: r for r in report.rows()}
+        rows = {r["parameter"]: r
+                for r in diagnostics.report(bundled_model)}
         stored = bundled_json["summaries"]
         assert rows.keys() == stored.keys()
         assert len(rows) == 74

@@ -164,8 +164,9 @@ def test_non_utf8_input_file_exits_1(workdir, capsys, command):
 def test_fit_writes_converged_model(fitted_model):
     obj = json.loads(fitted_model.read_text(encoding="utf-8"))
     assert obj["meta"]["converged"] is True
-    assert obj["meta"]["converged"] == diagnostics.report(
-        cli.load_model(str(fitted_model))).passed
+    assert obj["meta"]["converged"] == all(
+        row["pass"]
+        for row in diagnostics.report(cli.load_model(str(fitted_model))))
     assert obj["meta"]["chains"] == 4
     assert "draws" in obj  # --save-draws was passed
     assert set(obj["levels"]) == {"alpha", "beta", "gamma", "delta"}
@@ -220,6 +221,29 @@ def test_fit_file_without_pattern_records_exits_1(workdir, capsys, rows):
     _assert_error_exit(["fit", "--measurements", str(csv_path),
                         "--out", str(workdir / "nope.json")], capsys,
                        f"{csv_path} holds no pattern records")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iterations", "1" + "0" * 400), ("iterations", "9" * 5000),
+    ("voltage_v", "x" * 5000), ("pattern", "x" * 5000),
+], ids=["400-digit-count", "5000-digit-count", "5000-char-voltage",
+        "5000-char-pattern"])
+def test_fit_long_bad_value_gives_short_error_line(workdir, capsys, field,
+                                                   value):
+    good = "device1,addition:int:constant,0,0,5.6,0.1,0.1006,10000000"
+    row = dict(zip(CSV_HEADER, good.split(",")))
+    row[field] = value
+    csv_path = workdir / "long_value.csv"
+    csv_path.write_text("\n".join([",".join(CSV_HEADER), good,
+                                   ",".join(row.values())]) + "\n",
+                        encoding="utf-8")
+    assert cli.main(["fit", "--measurements", str(csv_path),
+                     "--out", str(workdir / "nope.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line, = err.splitlines()
+    assert line.startswith("error: row 3: ") and field in line
+    assert len(line) < 200
 
 
 def test_fit_data_error_in_a_worker_exits_1(measurements, workdir,
@@ -295,14 +319,38 @@ def _text_mean_summary_only(obj):
     return _text_mean(obj)
 
 
+def _text_chains(obj):
+    obj["meta"]["chains"] = "x"
+    return json.dumps(obj)
+
+
+def _list_chains(obj):
+    obj["meta"]["chains"] = [1]
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("corrupt", [_not_json, _no_levels, _text_mean,
-                                     _text_mean_summary_only])
+                                     _text_mean_summary_only, _text_chains,
+                                     _list_chains])
 def test_diagnose_bad_model_file_exits_1(fitted_model, workdir, capsys,
                                          corrupt):
     obj = json.loads(fitted_model.read_text(encoding="utf-8"))
     path = workdir / f"bad{corrupt.__name__}.json"
     path.write_text(corrupt(obj), encoding="utf-8")
     _assert_error_exit(["diagnose", str(path)], capsys)
+
+
+def test_predict_model_without_sigma_exits_1(bundled_json, workdir, capsys):
+    obj = json.loads(json.dumps(bundled_json))
+    del obj["summaries"]["sigma"]
+    path = workdir / "no_sigma.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    manifest = workdir / "program.txt"
+    manifest.write_text("1 variable_declaration:long:constant@device2\n",
+                        encoding="utf-8")
+    _assert_error_exit(["predict", "--model", str(path),
+                        "--program", str(manifest)], capsys,
+                       "sigma is not a model parameter")
 
 
 def test_predict_bundled_cross_module_consistency(workdir, bundled_model,
@@ -362,6 +410,15 @@ def test_predict_malformed_manifest_exits_1(workdir, capsys):
                    "--program", str(manifest)])
     assert rc == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_predict_count_beyond_float_range_exits_1(workdir, capsys):
+    manifest = workdir / "huge_count.txt"
+    manifest.write_text("1" + "0" * 400 + " addition:int:constant@device1\n",
+                        encoding="utf-8")
+    _assert_error_exit(["predict", "--model", cli.BUNDLED_MODEL,
+                        "--program", str(manifest)], capsys,
+                       "line 1: count 100000")
 
 
 def test_predict_unknown_device_exits_1(workdir, capsys):

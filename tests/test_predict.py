@@ -1,6 +1,7 @@
 """Gaussian distribution, convolution, and program prediction tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ def test_manifest_parse_errors_carry_line_numbers():
         ProgramManifest.parse(["1 addition:long:bits32@device1"])
     with pytest.raises(DomainError, match="line 1"):
         ProgramManifest.parse(["0 addition:int:bits32@device1"])
+
+
+def test_manifest_rejects_counts_beyond_the_float_range():
+    top = str(int(sys.float_info.max))
+    lines = [f"{top} addition:int:bits32@device1"] * 2
+    assert ProgramManifest.parse(lines[:1]).total_statements() == int(top)
+    with pytest.raises(DomainError, match="line 2: count 1797"):
+        ProgramManifest.parse(lines)
 
 
 def test_manifest_rejects_nonpositive_counts():
