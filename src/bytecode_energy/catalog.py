@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import AmbiguousPattern, UnknownPattern
+from .errors import AmbiguousPattern, UnknownPattern, shorten
 
 # Data types and data sizes are closed sets.
 DATA_TYPES = ("int", "long", "float", "double", "reference")
@@ -358,7 +358,7 @@ def _classify_mnemonics(tokens: list[str]) -> PatternTriple:
             # type argument of newarray
             operand_types.append(m if m in NUMERIC_TYPES else "int")
         else:
-            raise UnknownPattern(f"unsupported mnemonic {raw!r}")
+            raise UnknownPattern(f"unsupported mnemonic {shorten(raw)}")
 
     if len({a[0] for a in actions}) > 1:
         raise AmbiguousPattern(

@@ -32,8 +32,10 @@ contrasts), where it is exact to rounding.  The contrasts of the category
 with the most levels (the operations) are rotated, once per model, onto
 the eigenvectors of their Gram block (apart from the directions the data
 cannot identify); their prior is isotropic, so there the conditional
-precision is diagonal and is eliminated in closed form.  Only the rest is
-factored densely: 11 dimensions of 70 at paper size.  Step sizes adapt
+precision is diagonal and is eliminated in closed form.  The rest, bordered
+by the unidentified directions, is one dense matrix, factored and solved
+once per evaluation: of order 13 at paper size (11 coordinates and 2
+unidentified directions), against 70 for the whole block.  Step sizes adapt
 toward a 20-40% acceptance rate during warmup and are frozen afterwards.
 Chains are independent and each owns a private RNG seeded from seed +
 chain index, so fit runs them in forked worker processes, one chain per
@@ -61,7 +63,7 @@ import numpy as np
 from . import catalog as _catalog
 from . import diagnostics
 from .catalog import PatternKey
-from .errors import DataError, DomainError, UnknownLevel
+from .errors import DataError, DomainError, UnknownLevel, shorten
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -243,8 +245,8 @@ class _Model:
                           [1] + [n - 1 for n in self.sizes])
         self._group_dim = np.bincount(group, minlength=ncat + 1).tolist()
         weight = np.square(null).sum(axis=1)
-        self._null_weight = np.array([weight[group == g].max(initial=0.0)
-                                      for g in range(ncat + 1)])
+        self._null_weight = [float(weight[group == g].max(initial=0.0))
+                             for g in range(ncat + 1)]
 
         # The largest category's prior is isotropic on its contrasts, so
         # any orthonormal basis of them keeps it.  Take first the span of
@@ -274,17 +276,45 @@ class _Model:
         self.design = design @ coords
         full = self.design.T @ (stats.n[:, None] * self.design)
         moment = self.design.T @ stats.s1
-        # Blocks of G in these coordinates: dense (with N N', which sets
-        # the prior-only directions to identity), coupling C, and the
-        # diagonal, the eigenvalues lambda of the rotated category's block.
+        # Blocks of G in these coordinates: dense (taken with N N', which
+        # sets the prior-only directions to identity, into the terms
+        # below), coupling C, and the diagonal, the eigenvalues lambda of
+        # the rotated category's block.
         self._null = (coords.T @ null)[:nd]
-        self._gram_dense = full[:nd, :nd] + self._null @ self._null.T
         self._cross = full[:nd, nd:]
         self._eig = np.diagonal(full[nd:, nd:]).copy()
-        self._moment_dense = moment[:nd]
         self._moment_diag = moment[nd:]
         self._prior_mean = np.zeros(nd)
         self._prior_mean[0] = ncat * HYPER_MEAN_LOC
+
+        # location_system factors the bordered matrix K of order k + nd and
+        # solves K u = b.  [K; b'] is linear in 1, sigma^2 over each prior
+        # group's variance and -1/D_j for each diagonal coordinate j, so
+        # each call builds it as one product of those coefficients with
+        # these terms.
+        k = self._null.shape[1]
+        order = k + nd
+        groups = np.arange(ncat + 1)[:, None] == self._dense_group
+        terms = np.zeros((1 + len(groups) + len(self._eig), order + 1, order))
+        const, by_group, by_diag = np.split(terms, [1, 1 + len(groups)])
+        const[0, k:order, k:] = full[:nd, :nd] + self._null @ self._null.T
+        const[0, order, k:] = moment[:nd]
+        for g, members in enumerate(groups):
+            block = self._null[members]
+            at = k + np.flatnonzero(members)
+            by_group[g, :k, :k] = block.T @ block  # W = N' Lam^-1 N
+            by_group[g, at, :k] = block  # Lam^-1 N
+            by_group[g, :k, at] = block
+            by_group[g, at, at] = 1.0  # Lam^-1
+        # The prior mean's share of b, which is zero but for the intercept's
+        # (group 0): N' Lam^-1 m0 on top and Lam^-1 m0 below.
+        by_group[0, order, :k] = self._prior_mean[0] * self._null[0]
+        by_group[0, order, k] = self._prior_mean[0]
+        by_diag[:, k:order, k:] = (self._cross.T[:, :, None]
+                                   * self._cross.T[:, None])
+        by_diag[:, order, k:] = self._cross.T * self._moment_diag[:, None]
+        self._terms = terms.reshape(len(terms), -1)
+
         # Factored coordinates to every category's level contrasts.
         level_cat = np.repeat(np.arange(ncat), self.sizes)
         levels = np.zeros((len(level_cat), len(group) - 1))
@@ -312,20 +342,34 @@ class _Model:
         M is not factored whole.  In the coordinates of __init__ the largest
         category's contrasts outside N's span are eigenvectors of its Gram
         block and Lam is sd^2 I on them, so that block of M is the diagonal
-        D = lambda + sigma^2 / sd^2, and N does not reach it.  M is
-        factored through the Schur complement S = M_11 - C D^-1 C' of D,
-        whose dimension is the dense block's (11 at paper size, against 70
-        for M): log|M| = log|S| + sum log D, and the conditional mean and
-        draws follow by block elimination.  The rotation is fixed by the
-        data, not the scales, and each step is an exact identity, so the
-        result is exact to rounding as before.
+        D = lambda + sigma^2 / sd^2, and N does not reach it.  Both
+        eliminations, of D and of W, go into the factor of one bordered
+        matrix of order k + nd (13 at paper size, against 70 for M):
+
+            K = [[sigma^2 W, sigma^2 N' Lam^-1], [sigma^2 Lam^-1 N, S0]]
+
+        on the dense block, with S0 = M0 - C D^-1 C', M0 the dense block of
+        G + sigma^2 Lam^-1 + N N' and C its coupling to the diagonal block.
+        The Schur complement of K's first block, S0 - sigma^2 Lam^-1 N W^-1
+        N' Lam^-1, is S, that of D in M.  So K's Cholesky factor has sigma
+        times W's factor in its leading block and S's in its trailing one:
+        log|K| = log|W| + 2 k log sigma + log|S|, and log|M| = log|S|
+        + sum log D.  One solve of K [v; y] = [sigma^2 N' Lam^-1 m; r],
+        m the prior mean and r the dense block's moment with D eliminated,
+        gives y, the identified part of the dense block's conditional mean,
+        and N v, its prior-only part given y.  (The data moment has no part
+        along N, which G does not reach.)  The diagonal block follows by
+        back substitution.  [K; b'] is linear in fixed terms, so a call
+        builds it in one product.  The rotation is fixed by the data, not
+        the scales, and each step is an exact identity, so the result is
+        exact to rounding.
 
         Returns a _LocationSystem with the factors, the conditional mean,
         and the collapsed log density log p(data | scales) + log p(scales)
         -- the location block integrated out in closed form, which the
         scale updates sample against.  Raises _Refused (a DataError) for
         scales outside the floating-point range or too ill-conditioned to
-        eliminate the unidentified directions exactly, and DataError when M
+        eliminate the unidentified directions exactly, and DataError when K
         cannot be factorized or the density is not finite.
         """
         st = self.stats
@@ -343,51 +387,62 @@ class _Model:
         level_var = [HYPER_MEAN_SCALE ** 2 + v / n
                      for v, n in zip(sd2, self.sizes)]
         group_var = [sum(level_var)] + sd2
-        inv_group = np.array([1.0 / v for v in group_var])
-        inv_var = inv_group[self._dense_group]
+        inv_group = [1.0 / v for v in group_var]
+        inv_var = np.array(inv_group)[self._dense_group]
         diag_var = group_var[self._diag_group]
         diag = self._eig + sigma2 / diag_var
-        prior_mean = self._prior_mean
-
-        # Dense block of the precision and moment, times sigma^2.  The
-        # prior mean is zero but for the intercept's.
-        prec = self._gram_dense + np.diag(sigma2 * inv_var)
-        rhs = self._moment_dense.copy()
-        rhs[0] += sigma2 * inv_var[0] * prior_mean[0]
         null = self._null
-        reduced = null_chol = None
+        k = null.shape[1]
+
+        # The bordered system [K; b'], in one product (see __init__).
+        coef = np.empty(len(self._terms))
+        coef[0] = 1.0
+        coef[1:len(inv_group) + 1] = [sigma2 * v for v in inv_group]
+        np.divide(-1.0, diag, out=coef[len(inv_group) + 1:])
+        order = k + len(self._prior_mean)
+        system = (coef @ self._terms).reshape(order + 1, order)
+        bordered, rhs = system[:-1], system[-1]
         try:
-            if null.shape[1]:
-                coupling = inv_var[:, None] * null          # Lam^-1 N
-                null_prec = null.T @ coupling               # W
-                null_chol = np.linalg.cholesky(null_prec)
-                # Eliminating the prior-only directions subtracts terms as
-                # large as `pinned`, losing eps times that, amplified by the
-                # conditioning of W.  States where the loss could reach
-                # 1e-10 of the identified precision are refused: a category
-                # sd orders of magnitude below sigma, or sds that differ by
-                # orders of magnitude along one unidentified direction.
-                pinned = sigma2 * float((inv_group * self._null_weight).max())
-                w_det = float((null_chol.diagonal() ** 2
-                               / null_prec.diagonal()).prod())
+            chol = np.linalg.cholesky(bordered)
+        except np.linalg.LinAlgError:
+            chol = None
+        if k:
+            # Eliminating the prior-only directions subtracts terms as large
+            # as `pinned`, losing eps times that, amplified by the
+            # conditioning of W.  States where the loss could reach 1e-10 of
+            # the identified precision are refused: a category sd orders of
+            # magnitude below sigma, or sds that differ by orders of
+            # magnitude along one unidentified direction.  The leading
+            # block of K's factor is that of sigma^2 W; where K has no
+            # factor, the guard reads W's own, if W has one.
+            null_prec = bordered[:k, :k]
+            try:
+                null_chol = (chol if chol is not None
+                             else np.linalg.cholesky(null_prec))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                pinned = sigma2 * max(
+                    v * w for v, w in zip(inv_group, self._null_weight))
+                w_det = math.prod(
+                    lii * lii / wii for lii, wii in zip(
+                        null_chol.diagonal()[:k].tolist(),
+                        null_prec.diagonal().tolist()))
                 if not pinned <= 1e6 * self._identified_floor * w_det:
                     raise _Refused("the scales leave directions the data "
                                    "cannot identify too ill-conditioned")
-                reduced = np.linalg.solve(null_prec, coupling.T)
-                prec -= sigma2 * (coupling @ reduced)
-                rhs -= reduced.T @ (null.T @ rhs)
-            # Eliminate the diagonal block.
-            scaled = self._cross / diag
-            schur = prec - scaled @ self._cross.T
-            chol = np.linalg.cholesky(schur)
-            dense = np.linalg.solve(schur, rhs - scaled @ self._moment_diag)
-            rest = (self._moment_diag - self._cross.T @ dense) / diag
-            if reduced is not None:
-                # The prior-only part given the identified part.
-                dense += null @ (reduced @ (prior_mean - dense))
-        except np.linalg.LinAlgError:
-            raise DataError(
-                "location conditional is numerically singular") from None
+        if chol is not None:
+            try:
+                solution = np.linalg.solve(bordered, rhs)
+            except np.linalg.LinAlgError:
+                chol = None
+        if chol is None:
+            raise DataError("location conditional is numerically singular")
+        dense = solution[k:]
+        rest = (self._moment_diag - self._cross.T @ dense) / diag
+        if k:
+            # The prior-only part given the identified part.
+            dense = dense + null @ solution[:k]
         mean = np.concatenate((dense, rest))
 
         # Marginal likelihood by completing the square at the conditional
@@ -396,12 +451,10 @@ class _Model:
         # so that no large terms cancel.
         resid = self._key_mean - self.design @ mean
         data_ss = st.ss + float(st.n @ (resid * resid))
-        centered = dense - prior_mean
+        centered = dense - self._prior_mean
         logdet = (2.0 * (float(np.log(chol.diagonal()).sum())
-                         - (len(mean) - null.shape[1]) * log_sigma)
+                         - len(mean) * log_sigma)
                   + float(np.log(diag).sum()))
-        if null_chol is not None:
-            logdet += 2.0 * float(np.log(null_chol.diagonal()).sum())
         collapsed = (
             -0.5 * st.n_obs * LOG_2PI - st.n_obs * log_sigma
             - 0.5 * data_ss / sigma2
@@ -420,33 +473,36 @@ class _Model:
         if not math.isfinite(collapsed):
             raise DataError("collapsed density is not finite")
         return _LocationSystem(log_sd, log_sigma, sigma, sd2, level_var, chol,
-                               diag, mean, reduced, null_chol, collapsed)
+                               diag, mean, collapsed)
 
     def draw_locations(self, system: "_LocationSystem",
                        rng: np.random.Generator) -> np.ndarray:
         """Exact Gibbs draw of the location block, as a param_names row.
 
         Draws w = (g, t) from its Gaussian conditional -- the dense block
-        through the factor of S, the diagonal block given it, and the
-        prior-only directions from their prior given the identified ones --
-        then splits g over the categories' level means, and each level mean
-        into its hyper-mean and an offset, from their prior conditionals.
+        and, given it, the prior-only directions from their prior, both
+        through one triangular solve with the factor of K, then the
+        diagonal block given the dense one -- then splits g over the
+        categories' level means, and each level mean into its hyper-mean
+        and an offset, from their prior conditionals.
         The row holds sigma, each level effect (its category's level mean
         plus its contrast), and each category's hyper-mean and sd, the
         scales being those of the system.
         """
-        nd = len(system.chol)
+        k = self._null.shape[1]
+        nd = len(system.chol) - k
         standard = rng.standard_normal(len(system.mean))
-        dense = system.sigma * np.linalg.solve(system.chol.T, standard[:nd])
+        white = standard[:nd]
+        if k:
+            white = np.concatenate((rng.standard_normal(k), white))
+        noise = system.sigma * np.linalg.solve(system.chol.T, white)
+        dense = noise[k:]
         # The diagonal block given the dense one:
         # Normal(-D^-1 C' dense, sigma^2 D^-1).
         rest = (system.sigma * np.sqrt(system.diag) * standard[nd:]
                 - self._cross.T @ dense) / system.diag
-        if system.null_chol is not None:
-            dense += self._null @ (
-                np.linalg.solve(system.null_chol.T,
-                                rng.standard_normal(self._null.shape[1]))
-                - system.reduced @ dense)
+        if k:
+            dense += self._null @ noise[:k]
         w = system.mean + np.concatenate((dense, rest))
         sd2 = np.array(system.sd2)
         level_var = np.array(system.level_var)
@@ -475,11 +531,9 @@ class _LocationSystem:
     sigma: float           # likelihood sd
     sd2: list[float]       # category variances sd^2
     level_var: list[float]  # prior variance of each category's level mean
-    chol: np.ndarray       # Cholesky factor of the Schur complement S
+    chol: np.ndarray       # Cholesky factor of the bordered matrix K
     diag: np.ndarray       # diagonal block D of M
     mean: np.ndarray       # conditional mean of w in the factored coordinates
-    reduced: np.ndarray | None    # W^-1 N' Lam^-1, None when G has full rank
-    null_chol: np.ndarray | None  # Cholesky factor of W = N' Lam^-1 N
     collapsed: float       # log p(data | scales) + log p(scales)
 
 
@@ -690,7 +744,7 @@ def _map_chains(task, args: list) -> tuple[list, int]:
 
     Chains run in forked worker processes, at most one per available CPU.
     The task, model included, is pickled to the worker with each chain:
-    at paper size about 270 KB and 0.1-0.2 ms to dump and load, against
+    at paper size about 360 KB and 0.3 ms to dump and load, against
     0.3 s or more for the chain itself.  Results come back in chain order
     and a worker's exception is re-raised here with its type and message.
     With one CPU, or no fork, the chains run in this process.
@@ -739,7 +793,8 @@ class PosteriorModel:
                  f"delta[{device}]"]
         for name in names:
             if name not in self.summaries:
-                raise UnknownLevel(f"{name} is not a model parameter")
+                shown = name if len(name) <= 40 else shorten(name)
+                raise UnknownLevel(f"{shown} is not a model parameter")
         return names
 
     def mean_mu(self, key) -> float:

@@ -106,15 +106,7 @@ def subtract_baseline(
     Record count and ordering are preserved.  Raises
     :class:`MissingBaseline` for any device lacking baseline data.
     """
-    means = _device_means((b.device, b.energy) for b in baselines)
-    corrected = []
-    for r in records:
-        if r.device not in means:
-            raise MissingBaseline(r.device)
-        corrected.append(MeasurementRecord(
-            r.key, r.device, r.energy - means[r.device],
-            baseline_corrected=True))
-    return corrected
+    return list(MeasurementDataset(records, baselines).corrected().records)
 
 
 def _device_means(pairs: Iterable[tuple[str, float]]) -> dict[str, float]:
@@ -181,7 +173,12 @@ class MeasurementDataset:
                           else _Records.of(baselines))
 
     def corrected(self) -> "MeasurementDataset":
-        """Subtract each device's mean baseline, as ``subtract_baseline``."""
+        """Subtract each device's mean baseline energy from its records.
+
+        Record count and ordering are preserved.  Raises
+        :class:`MissingBaseline` for the first record's device, in file
+        order, that has no baseline records.
+        """
         base, rec = self.baselines, self.records
         means = _device_means(zip(
             [base.groups[c][1] for c in base.codes.tolist()],

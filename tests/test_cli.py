@@ -298,6 +298,7 @@ def _assert_error_exit(argv, capsys, expected=""):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert expected in err
+    return err
 
 
 def _not_json(obj):
@@ -421,13 +422,27 @@ def test_predict_count_beyond_float_range_exits_1(workdir, capsys):
                        "line 1: count 100000")
 
 
+@pytest.mark.parametrize("command, text, expected", [
+    ("classify", "x" * 5000, "unsupported mnemonic 'xxx"),
+    ("predict", "1 addition:int:constant@" + "d" * 5000,
+     "'delta[ddd"),
+], ids=["5000-char-statement", "5000-char-device"])
+def test_long_input_value_gives_short_error_line(workdir, capsys, command,
+                                                 text, expected):
+    path = workdir / "long_value.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    argv = (["classify", str(path)] if command == "classify" else
+            ["predict", "--model", cli.BUNDLED_MODEL, "--program", str(path)])
+    line, = _assert_error_exit(argv, capsys, expected).splitlines()
+    assert len(line) < 200
+
+
 def test_predict_unknown_device_exits_1(workdir, capsys):
     manifest = workdir / "unknown_device.txt"
     manifest.write_text("1 addition:int:bits32@device9\n", encoding="utf-8")
-    rc = cli.main(["predict", "--model", cli.BUNDLED_MODEL,
-                   "--program", str(manifest)])
-    assert rc == 1
-    assert "device9" in capsys.readouterr().err
+    _assert_error_exit(["predict", "--model", cli.BUNDLED_MODEL,
+                        "--program", str(manifest)], capsys,
+                       "delta[device9] is not a model parameter")
 
 
 def test_prior_check_reports_range(capsys):

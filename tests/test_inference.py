@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bytecode_energy import cli, diagnostics, inference
+from bytecode_energy.catalog import list_catalog
 from bytecode_energy.errors import DataError, UnknownLevel
 from bytecode_energy.inference import (
     ModelSpec,
@@ -539,8 +540,19 @@ def _reference_design():
     return data
 
 
+def _catalog_design():
+    # The paper's shape: every legal pattern of the catalog on two devices,
+    # 2 observations per key.  The dense block then has 11 dimensions and
+    # spans the 2 directions the data cannot identify, and 59 operation
+    # contrasts are diagonal.
+    rng = np.random.default_rng(13)
+    return {(t.dsize, t.operation, t.dtype, device):
+            rng.normal(6e-8, 1.36e-8, 2)
+            for t in list_catalog() for device in ("device1", "device2")}
+
+
 DESIGNS = {"crossed": _crossed_design, "confounded": _confounded_design,
-           "reference": _reference_design}
+           "reference": _reference_design, "catalog": _catalog_design}
 
 # Every sd 1e4 times below sigma: exact on a design of full rank, refused
 # where the sds scale directions that the data cannot identify.
@@ -630,6 +642,21 @@ def test_collapsed_density_matches_high_precision_oracle(design):
         assert error <= 1e-6 + 1e-12 * abs(float(oracle)), (sds, sigma, error)
 
 
+def _inverse_sds(chol, mp):
+    """sqrt(diag(P^-1)) as floats from P's Cholesky factor L, in mpmath:
+    the column norms of L^-1, found by forward substitution."""
+    low = chol.tolist()
+    dim = len(low)
+    inv = [[mp.mpf(0)] * dim for _ in range(dim)]  # L^-1, lower triangular
+    for j in range(dim):
+        inv[j][j] = 1 / low[j][j]
+        for i in range(j + 1, dim):
+            inv[i][j] = -mp.fdot(low[i][j:i], [inv[r][j] for r in range(j, i)]
+                                 ) / low[i][i]
+    return [float(mp.sqrt(mp.fsum(inv[r][i] ** 2 for r in range(i, dim))))
+            for i in range(dim)]
+
+
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_location_draws_match_full_conditional(design):
     mpmath = pytest.importorskip("mpmath")
@@ -639,10 +666,10 @@ def test_location_draws_match_full_conditional(design):
     sds, sigma = [2e-3, 4e-8, 5e-9, 3e-9], 1.36e-8
     system = model.location_system(np.log(sds), math.log(sigma))
     _, mean, prec = mpmath_location_oracle(data, spec, sds, sigma, mpmath)
-    cov = prec ** -1
+    chol = mpmath.cholesky(prec)
     dim = prec.rows
     exact_mean = np.array([float(mean[i]) for i in range(dim)])
-    exact_sd = np.array([float(mpmath.sqrt(cov[i, i])) for i in range(dim)])
+    exact_sd = np.array(_inverse_sds(chol, mpmath))
 
     rng = np.random.default_rng(4)
     scales = [math.exp(math.log(sigma))] + [math.exp(u) for u in np.log(sds)]
@@ -662,7 +689,6 @@ def test_location_draws_match_full_conditional(design):
     assert np.all(np.abs(standardized.mean(axis=0)) < 5 / math.sqrt(n))
     assert np.all(np.abs(standardized.var(axis=0) - 1.0) < 0.15)
     # Whole covariance: whitened draws have identity covariance.
-    chol = mpmath.cholesky(prec)
     whiten = np.array([[float(chol[j, i] * exact_sd[j]) for j in range(dim)]
                        for i in range(dim)])
     white = standardized @ whiten.T
@@ -681,10 +707,15 @@ def test_location_system_refuses_states_it_cannot_compute_exactly():
         model.location_system(np.log([1e-3] * 4), -800.0)  # sigma^2 == 0
     with pytest.raises(_Refused):
         model.location_system(np.array([-800.0, 0.0, 0.0, 0.0]), -18.0)
-    _, model = _bound_model(_confounded_design())
     sds, sigma = TINY_SDS
+    for design in (_confounded_design, _reference_design):
+        _, model = _bound_model(design())
+        with pytest.raises(_Refused):
+            model.location_system(np.log(sds), math.log(sigma))
+    # Sds so small that the bordered matrix has no Cholesky factor: the
+    # guard then reads W's own and still refuses.
     with pytest.raises(_Refused):
-        model.location_system(np.log(sds), math.log(sigma))
+        model.location_system(np.log([1e-16] * 4), math.log(sigma))
 
 
 # -- chains in worker processes ----------------------------------------------
